@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.coding.bitstring import Bits
 from repro.coding.concat import concat_bits, decode_concat
 from repro.coding.integers import decode_uint, encode_uint
+from repro.core.advice import decode_shared
 from repro.core.verify import verify_election
 from repro.errors import AdviceError, AlgorithmError
 from repro.graphs.port_graph import PortGraph
@@ -26,7 +27,7 @@ from repro.sim.com import ViewAccumulator
 from repro.sim.local_model import NodeContext, run_sync
 from repro.views.election_index import election_index
 from repro.views.order import view_min
-from repro.views.view import views_of_graph
+from repro.views.view import View, views_of_graph
 
 
 def _text_to_bits(text: str) -> Bits:
@@ -48,23 +49,45 @@ def map_advice(g: PortGraph, phi: Optional[int] = None) -> Bits:
     return concat_bits([encode_uint(phi), _text_to_bits(to_json(g))])
 
 
+@dataclass(frozen=True)
+class DecodedMap:
+    """The map advice decoded once per run: phi, the map, the map nodes
+    carrying each depth-phi view, and the canonical leader."""
+
+    phi: int
+    map: PortGraph
+    nodes_by_view: Dict[View, Tuple[int, ...]]
+    leader: int
+
+
+def decode_map_advice(advice: Bits) -> DecodedMap:
+    """Parse ``Concat(bin(phi), map)`` and compute the map's depth-phi
+    views and the node with the canonically smallest one."""
+    parts = decode_concat(advice)
+    if len(parts) != 2:
+        raise AdviceError("map advice must be Concat(bin(phi), map)")
+    phi = decode_uint(parts[0])
+    g = from_json(_bits_to_text(parts[1]))
+    map_views = views_of_graph(g, phi)
+    nodes_by_view: Dict[View, Tuple[int, ...]] = {}
+    for v in g.nodes():
+        nodes_by_view[map_views[v]] = nodes_by_view.get(map_views[v], ()) + (v,)
+    leader = nodes_by_view[view_min(map_views)][0]
+    return DecodedMap(phi, g, nodes_by_view, leader)
+
+
 class MapBasedAlgorithm:
     """Per-node algorithm: decode the map, COM for phi rounds, locate
     yourself, walk to the canonical leader."""
 
     def __init__(self):
         self._acc: Optional[ViewAccumulator] = None
-        self._phi: Optional[int] = None
-        self._map: Optional[PortGraph] = None
+        self._decoded: Optional[DecodedMap] = None
 
     def setup(self, ctx: NodeContext) -> None:
         if ctx.advice is None:
             raise AdviceError("map-based election requires the map advice")
-        parts = decode_concat(ctx.advice)
-        if len(parts) != 2:
-            raise AdviceError("map advice must be Concat(bin(phi), map)")
-        self._phi = decode_uint(parts[0])
-        self._map = from_json(_bits_to_text(parts[1]))
+        self._decoded = decode_shared(ctx.advice, decode_map_advice)
         self._acc = ViewAccumulator(ctx.degree)
 
     def compose(self, ctx: NodeContext):
@@ -72,20 +95,16 @@ class MapBasedAlgorithm:
 
     def deliver(self, ctx: NodeContext, inbox) -> None:
         self._acc.absorb(inbox)
-        if ctx.has_output or self._acc.depth < self._phi:
+        decoded = self._decoded
+        if ctx.has_output or self._acc.depth < decoded.phi:
             return
-        g = self._map
-        map_views = views_of_graph(g, self._phi)
-        matches = [v for v in g.nodes() if map_views[v] is self._acc.view]
+        matches = decoded.nodes_by_view.get(self._acc.view, ())
         if len(matches) != 1:
             raise AlgorithmError(
                 f"self-localization found {len(matches)} map nodes with my "
                 "view; the map or phi in the advice is wrong"
             )
-        me = matches[0]
-        leader_view = view_min(map_views)
-        leader = next(v for v in g.nodes() if map_views[v] is leader_view)
-        ctx.output(_lex_shortest_port_path(g, me, leader))
+        ctx.output(_lex_shortest_port_path(decoded.map, matches[0], decoded.leader))
 
 
 def _lex_shortest_port_path(g: PortGraph, start: int, goal: int) -> Tuple[int, ...]:

@@ -26,10 +26,10 @@ from typing import Dict, List, Optional, Tuple
 from repro.coding.bitstring import Bits
 from repro.coding.concat import concat_bits, decode_concat
 from repro.coding.integers import decode_uint, encode_uint
-from repro.coding.trees import LabeledRootedTree, decode_tree, encode_tree
-from repro.core.advice import canonical_bfs_tree
+from repro.coding.trees import decode_tree, encode_tree
+from repro.core.advice import canonical_bfs_tree, decode_shared
 from repro.core.verify import verify_election
-from repro.errors import AdviceError, AlgorithmError
+from repro.errors import AdviceError, AlgorithmError, CodingError
 from repro.graphs.port_graph import PortGraph
 from repro.sim.com import ViewAccumulator
 from repro.sim.local_model import NodeContext, run_sync
@@ -70,25 +70,38 @@ def naive_rank_advice(g: PortGraph, phi: Optional[int] = None) -> Bits:
     )
 
 
+@dataclass(frozen=True)
+class DecodedRanks:
+    """The naive advice decoded once per run: phi, ``view code -> rank``,
+    and ``rank -> flat port path to the root`` of the rank-labeled tree."""
+
+    phi: int
+    ranks: Dict[str, int]
+    paths: Dict[int, Tuple[int, ...]]
+
+
+def decode_naive_rank_advice(advice: Bits) -> DecodedRanks:
+    """Parse ``Concat(bin(phi), Concat(view codes), bin(tree))``."""
+    parts = decode_concat(advice)
+    if len(parts) != 3:
+        raise AdviceError("naive advice must have (phi, codes, tree)")
+    phi = decode_uint(parts[0])
+    codes = decode_concat(parts[1])
+    ranks = {bits.as_str(): i + 1 for i, bits in enumerate(codes)}
+    return DecodedRanks(phi, ranks, decode_tree(parts[2]).flat_paths_to_root())
+
+
 class NaiveRankAlgorithm:
     """Per-node algorithm for the naive advice."""
 
     def __init__(self):
         self._acc: Optional[ViewAccumulator] = None
-        self._phi: Optional[int] = None
-        self._ranks: Optional[Dict[str, int]] = None
-        self._tree: Optional[LabeledRootedTree] = None
+        self._decoded: Optional[DecodedRanks] = None
 
     def setup(self, ctx: NodeContext) -> None:
         if ctx.advice is None:
             raise AdviceError("naive-rank election requires advice")
-        parts = decode_concat(ctx.advice)
-        if len(parts) != 3:
-            raise AdviceError("naive advice must have (phi, codes, tree)")
-        self._phi = decode_uint(parts[0])
-        codes = decode_concat(parts[1])
-        self._ranks = {bits.as_str(): i + 1 for i, bits in enumerate(codes)}
-        self._tree = decode_tree(parts[2])
+        self._decoded = decode_shared(ctx.advice, decode_naive_rank_advice)
         self._acc = ViewAccumulator(ctx.degree)
 
     def compose(self, ctx: NodeContext):
@@ -96,14 +109,17 @@ class NaiveRankAlgorithm:
 
     def deliver(self, ctx: NodeContext, inbox) -> None:
         self._acc.absorb(inbox)
-        if ctx.has_output or self._acc.depth < self._phi:
+        decoded = self._decoded
+        if ctx.has_output or self._acc.depth < decoded.phi:
             return
         my_code = encode_view_nested(self._acc.view).as_str()
-        rank = self._ranks.get(my_code)
+        rank = decoded.ranks.get(my_code)
         if rank is None:
             raise AlgorithmError("own view code missing from the advice list")
-        pairs = self._tree.path_to_root_ports(rank)
-        ctx.output(tuple(x for pair in pairs for x in pair))
+        path = decoded.paths.get(rank)
+        if path is None:
+            raise CodingError(f"label {rank} not present in tree")
+        ctx.output(path)
 
 
 @dataclass

@@ -44,13 +44,26 @@ class LabeledRootedTree:
 
     def size(self) -> int:
         """Number of nodes in the subtree."""
-        return 1 + sum(c.size() for _, _, c in self.children)
+        return sum(1 for _ in self._preorder())
+
+    def _preorder(self) -> Iterator["LabeledRootedTree"]:
+        """Preorder over subtree nodes, children in insertion order (the
+        order :meth:`path_to_root_ports` searches).  Iterative, so trees
+        deeper than the interpreter recursion limit are safe."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(child for _, _, child in reversed(node.children))
 
     def iter_nodes(self) -> Iterator["LabeledRootedTree"]:
         """DFS preorder over subtree nodes (children in port order)."""
-        yield self
-        for _, _, child in sorted(self.children, key=lambda t: t[0]):
-            yield from child.iter_nodes()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            ordered = sorted(node.children, key=lambda t: t[0])
+            stack.extend(child for _, _, child in reversed(ordered))
 
     def labels(self) -> List[int]:
         """All labels in DFS preorder."""
@@ -68,36 +81,63 @@ class LabeledRootedTree:
         """Port pairs of the path *from the node labeled ``label`` up to the
         root*, in the paper's output format ``[(p1, q1), ...]``: the i-th
         edge is traversed from the current node through its local port
-        ``p_i``, arriving through port ``q_i`` at the other end.
+        ``p_i``, arriving through port ``q_i`` at the other end.  The node
+        is the first carrying ``label`` in preorder (children in insertion
+        order).
 
         Raises :class:`CodingError` if the label is absent.
         """
-
-        def walk(node: "LabeledRootedTree") -> Optional[List[Tuple[int, int]]]:
+        # node -> (parent, port at parent, port at node)
+        up: Dict[int, Tuple["LabeledRootedTree", int, int]] = {}
+        for node in self._preorder():
             if node.label == label:
-                return []
-            for port_parent, port_child, child in node.children:
-                rest = walk(child)
-                if rest is not None:
-                    # the upward step out of `child` uses the child's port
+                result: List[Tuple[int, int]] = []
+                while node is not self:
+                    parent, port_parent, port_child = up[id(node)]
+                    # the upward step out of `node` uses the child's port
                     # first, then the parent's port
-                    rest.append((port_child, port_parent))
-                    return rest
-            return None
+                    result.append((port_child, port_parent))
+                    node = parent
+                return result
+            for port_parent, port_child, child in node.children:
+                up[id(child)] = (node, port_parent, port_child)
+        raise CodingError(f"label {label} not present in tree")
 
-        result = walk(self)
-        if result is None:
-            raise CodingError(f"label {label} not present in tree")
-        return result
+    def flat_paths_to_root(self) -> Dict[int, Tuple[int, ...]]:
+        """``label -> flatten(path_to_root_ports(label))`` for every label
+        of the subtree, in one iterative walk: a child's path is its own
+        upward step followed by its parent's path.  A label carried twice
+        keeps its first node in preorder, as :meth:`path_to_root_ports`
+        does."""
+        paths: Dict[int, Tuple[int, ...]] = {}
+        stack: List[Tuple["LabeledRootedTree", Tuple[int, ...]]] = [(self, ())]
+        while stack:
+            node, path = stack.pop()
+            paths.setdefault(node.label, path)
+            for port_parent, port_child, child in reversed(node.children):
+                stack.append((child, (port_child, port_parent) + path))
+        return paths
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabeledRootedTree):
             return NotImplemented
-        if self.label != other.label:
-            return False
-        mine = sorted(self.children, key=lambda t: t[0])
-        theirs = sorted(other.children, key=lambda t: t[0])
-        return mine == theirs
+        stack = [(self, other)]
+        while stack:
+            mine, theirs = stack.pop()
+            if mine is theirs:
+                continue
+            if mine.label != theirs.label or len(mine.children) != len(
+                theirs.children
+            ):
+                return False
+            for (p1, q1, c1), (p2, q2, c2) in zip(
+                sorted(mine.children, key=lambda t: t[0]),
+                sorted(theirs.children, key=lambda t: t[0]),
+            ):
+                if p1 != p2 or q1 != q2:
+                    return False
+                stack.append((c1, c2))
+        return True
 
     __hash__ = None  # type: ignore[assignment]  # mutable
 
@@ -108,22 +148,27 @@ class LabeledRootedTree:
 def encode_tree(tree: LabeledRootedTree) -> Bits:
     """Binary code of a labeled rooted tree (see module docstring)."""
     steps: List[Bits] = []
-    labels: List[Bits] = []
-
-    def dfs(node: LabeledRootedTree) -> None:
-        labels.append(encode_uint(node.label))
-        for port_parent, port_child, child in sorted(
-            node.children, key=lambda t: t[0]
-        ):
-            steps.append(
-                concat_bits(
-                    [encode_uint(0), encode_uint(port_parent), encode_uint(port_child)]
-                )
+    labels: List[Bits] = [encode_uint(tree.label)]
+    ascent = concat_bits([encode_uint(1)])
+    # explicit DFS stack of child iterators (trees can be deeper than the
+    # interpreter recursion limit): descend on the next child in port
+    # order, ascend when a node's children are exhausted
+    stack = [iter(sorted(tree.children, key=lambda t: t[0]))]
+    while stack:
+        nxt = next(stack[-1], None)
+        if nxt is None:
+            stack.pop()
+            if stack:
+                steps.append(ascent)
+            continue
+        port_parent, port_child, child = nxt
+        steps.append(
+            concat_bits(
+                [encode_uint(0), encode_uint(port_parent), encode_uint(port_child)]
             )
-            dfs(child)
-            steps.append(concat_bits([encode_uint(1)]))
-
-    dfs(tree)
+        )
+        labels.append(encode_uint(child.label))
+        stack.append(iter(sorted(child.children, key=lambda t: t[0])))
     return concat_bits([concat_bits(steps), concat_bits(labels)])
 
 

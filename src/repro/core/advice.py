@@ -14,8 +14,9 @@ and Algorithm Elect using Adv elects in time exactly phi.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.coding.bitstring import Bits
 from repro.coding.concat import concat_bits, decode_concat
@@ -155,6 +156,44 @@ def labeling_context_from_advice(e1: Trie, e2: E2Type) -> LabelingContext:
     for depth, layer in e2_as_maps(e2).items():
         ctx.add_layer(depth, layer)
     return ctx
+
+
+_Decoded = TypeVar("_Decoded")
+
+#: Bound on :func:`decode_shared` entries, for callers that never clear.
+SHARED_DECODE_MAX = 16
+_SHARED_DECODES: Dict[Tuple[Callable, str], object] = {}
+_SHARED_DECODES_LOCK = threading.Lock()
+
+
+def decode_shared(advice: Bits, decode: Callable[[Bits], _Decoded]) -> _Decoded:
+    """``decode(advice)``, computed once per (decoder, exact advice string).
+
+    Every node of a run receives the same advice bits, and a decoder is a
+    pure function of them, so all nodes can share one read-only result
+    instead of each decoding its own copy.  Decoder exceptions propagate
+    and are not cached.  Results may hold interned views (a shared
+    labeling context memoises labels per view), so
+    :func:`repro.views.view.clear_view_caches` drops the table; callers
+    that never clear are bounded by evicting the oldest entry beyond
+    :data:`SHARED_DECODE_MAX`.  Two threads that miss on one key at once
+    may both decode; either result is correct.
+    """
+    key = (decode, advice.as_str())
+    found = _SHARED_DECODES.get(key)
+    if found is None:
+        found = decode(advice)
+        with _SHARED_DECODES_LOCK:
+            if len(_SHARED_DECODES) >= SHARED_DECODE_MAX:
+                del _SHARED_DECODES[next(iter(_SHARED_DECODES))]
+            _SHARED_DECODES[key] = found
+    return found  # type: ignore[return-value]
+
+
+def _clear_shared_decodes() -> None:
+    """Called by :func:`repro.views.view.clear_view_caches`."""
+    with _SHARED_DECODES_LOCK:
+        _SHARED_DECODES.clear()
 
 
 def advice_breakdown(bundle: AdviceBundle) -> Dict[str, int]:

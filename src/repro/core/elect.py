@@ -5,27 +5,52 @@ advice, runs COM for phi rounds to acquire B^phi(u), computes its unique
 label x = RetrieveLabel(B^phi(u), E1, E2), locates itself in the decoded
 BFS tree through x, and outputs the port sequence of the tree path from x
 to the root (label 1).
+
+The decode is a pure function of the advice bits, which every node
+receives identically, so the simulator decodes each advice string once
+(:func:`~repro.core.advice.decode_shared`) and every node reads the same
+:class:`DecodedAdvice`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.coding.bitstring import Bits
 from repro.core.advice import (
     AdviceBundle,
     compute_advice,
     decode_advice,
+    decode_shared,
     labeling_context_from_advice,
 )
-from repro.core.labels import retrieve_label
+from repro.core.labels import LabelingContext, retrieve_label
 from repro.core.verify import ElectionOutcome, verify_election
-from repro.errors import AdviceError
+from repro.errors import AdviceError, CodingError
 from repro.graphs.port_graph import PortGraph
 from repro.obs import core as obs
 from repro.sim.com import ViewAccumulator
 from repro.sim.local_model import NodeAlgorithm, NodeContext, RunResult, run_sync
+
+
+@dataclass(frozen=True)
+class DecodedAdvice:
+    """Elect's read-only view of one advice string: phi, the labeling
+    context built from (E1, E2), and ``label -> flat port path to the
+    root`` for every label of the decoded BFS tree."""
+
+    phi: int
+    labeling: LabelingContext
+    paths: Dict[int, Tuple[int, ...]]
+
+
+def decode_elect_advice(bits: Bits) -> DecodedAdvice:
+    """Decode the oracle's advice into a :class:`DecodedAdvice`."""
+    phi, e1, e2, tree = decode_advice(bits)
+    return DecodedAdvice(
+        phi, labeling_context_from_advice(e1, e2), tree.flat_paths_to_root()
+    )
 
 
 class ElectAlgorithm:
@@ -33,17 +58,12 @@ class ElectAlgorithm:
 
     def __init__(self):
         self._acc: Optional[ViewAccumulator] = None
-        self._phi: Optional[int] = None
-        self._labeling = None
-        self._tree = None
+        self._decoded: Optional[DecodedAdvice] = None
 
     def setup(self, ctx: NodeContext) -> None:
         if ctx.advice is None:
             raise AdviceError("Elect requires the oracle's advice string")
-        phi, e1, e2, tree = decode_advice(ctx.advice)
-        self._phi = phi
-        self._labeling = labeling_context_from_advice(e1, e2)
-        self._tree = tree
+        self._decoded = decode_shared(ctx.advice, decode_elect_advice)
         self._acc = ViewAccumulator(ctx.degree)
 
     def compose(self, ctx: NodeContext):
@@ -53,11 +73,13 @@ class ElectAlgorithm:
 
     def deliver(self, ctx: NodeContext, inbox) -> None:
         self._acc.absorb(inbox)
-        if self._acc.depth == self._phi and not ctx.has_output:
-            label = retrieve_label(self._acc.view, self._labeling)
-            pairs = self._tree.path_to_root_ports(label)
-            flat: Tuple[int, ...] = tuple(x for pair in pairs for x in pair)
-            ctx.output(flat)
+        decoded = self._decoded
+        if self._acc.depth == decoded.phi and not ctx.has_output:
+            label = retrieve_label(self._acc.view, decoded.labeling)
+            path = decoded.paths.get(label)
+            if path is None:
+                raise CodingError(f"label {label} not present in tree")
+            ctx.output(path)
 
 
 @dataclass

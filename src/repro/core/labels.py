@@ -95,21 +95,44 @@ def retrieve_label(b: View, ctx: LabelingContext) -> int:
     {1..|S_d|} (Claims 3.4 and 3.7), provided E1 and the E2 layers up to
     depth d discriminate the graph's views — which ComputeAdvice arranges.
     """
-    cached = ctx._label_cache.get(b)
+    cache = ctx._label_cache
+    cached = cache.get(b)
     if cached is not None:
         return cached
+    if b.depth < 1:
+        raise AdviceError(f"retrieve_label requires depth >= 1, got {b.depth}")
 
-    d = b.depth
-    if d < 1:
-        raise AdviceError(f"retrieve_label requires depth >= 1, got {d}")
-    if d == 1:
-        if ctx.e1 is None:
-            raise AdviceError("labeling context has no depth-1 trie E1")
-        result = local_label(b, (), ctx.e1, ctx)
-    else:
-        x = tuple(retrieve_label(child, ctx) for _, child in b.children)
-        b_prime = truncate_view(b, d - 1)
-        label = retrieve_label(b_prime, ctx)
+    # Post-order over the views the label depends on (the children, then
+    # the truncation B', each one level shallower) with an explicit stack,
+    # so views deeper than the interpreter recursion limit are safe.
+    # Dependencies are pushed in reverse, so they are labeled in the order
+    # of the recursive definition.
+    stack = [b]
+    while stack:
+        v = stack[-1]
+        if v in cache:
+            stack.pop()
+            continue
+        d = v.depth
+        if d == 1:
+            if ctx.e1 is None:
+                raise AdviceError("labeling context has no depth-1 trie E1")
+            cache[v] = local_label(v, (), ctx.e1, ctx)
+            stack.pop()
+            continue
+        x = [cache.get(child) for _, child in v.children]
+        if None in x:
+            stack.extend(
+                child
+                for (_, child), lab in zip(reversed(v.children), reversed(x))
+                if lab is None
+            )
+            continue
+        b_prime = truncate_view(v, d - 1)
+        label = cache.get(b_prime)
+        if label is None:
+            stack.append(b_prime)
+            continue
         layer = ctx.e2_layers.get(d, {})
         total = 0
         for i in range(1, label + 1):
@@ -118,10 +141,9 @@ def retrieve_label(b: View, ctx: LabelingContext) -> int:
                 if i < label:
                     total += ctx.num_leaves(trie)
                 else:
-                    total += local_label(b, x, trie, ctx)
+                    total += local_label(v, x, trie, ctx)
             else:
                 total += 1
-        result = total
-
-    ctx._label_cache[b] = result
-    return result
+        cache[v] = total
+        stack.pop()
+    return cache[b]

@@ -188,15 +188,35 @@ def truncate_view(view: View, depth: int) -> View:
     found = _TRUNCATE_CACHE.get(key)
     if found is not None:
         return found
-    if depth == 0:
-        result = View.make(view.degree, ())
-    else:
-        children = tuple(
-            (q, truncate_view(child, depth - 1)) for q, child in view.children
-        )
-        result = View.make(view.degree, children)
-    _TRUNCATE_CACHE[key] = result
-    return result
+    # post-order over (subview, target depth) with an explicit stack, so
+    # views deeper than the interpreter recursion limit are safe; children
+    # are pushed in reverse, so views are interned in the order of the
+    # recursive definition.  A child is one level shallower than its
+    # parent, so it always needs truncating too (never returned as is).
+    stack = [(view, depth)]
+    while stack:
+        v, d = stack[-1]
+        if (id(v), d) in _TRUNCATE_CACHE:
+            stack.pop()
+            continue
+        if d == 0:
+            result = View.make(v.degree, ())
+        else:
+            pending = [
+                (c, d - 1)
+                for _, c in reversed(v.children)
+                if (id(c), d - 1) not in _TRUNCATE_CACHE
+            ]
+            if pending:
+                stack.extend(pending)
+                continue
+            result = View.make(
+                v.degree,
+                tuple((q, _TRUNCATE_CACHE[(id(c), d - 1)]) for q, c in v.children),
+            )
+        _TRUNCATE_CACHE[(id(v), d)] = result
+        stack.pop()
+    return _TRUNCATE_CACHE[key]
 
 
 # ----------------------------------------------------------------------
@@ -229,11 +249,12 @@ def view_nested_tuple(view: View) -> tuple:
 # ----------------------------------------------------------------------
 def clear_view_caches() -> None:
     """Drop the global intern and truncation tables, the per-depth view
-    registry, the order rank tables, the wire-codec caches and every live
-    strict-mode message plane (all of which key on view identity or hold
-    interned views).  Existing View objects remain valid but newly built
-    structurally-equal views will be fresh objects — so never mix views
-    from before and after a clear."""
+    registry, the order rank tables, the wire-codec caches, every live
+    strict-mode message plane and the shared advice decodes (all of which
+    key on view identity or hold interned views).  Existing View objects
+    remain valid but newly built structurally-equal views will be fresh
+    objects — so never mix views from before and after a clear."""
+    from repro.core import advice as _advice
     from repro.sim import strict as _strict
     from repro.sim import trace as _trace
     from repro.views import encoding as _encoding
@@ -254,6 +275,9 @@ def clear_view_caches() -> None:
     # that must never leak into a run started after the clear
     _wire._clear_wire_caches()
     _strict._clear_message_planes()
+    # a shared decoded advice carries a labeling context whose label memo
+    # is keyed on interned views
+    _advice._clear_shared_decodes()
 
 
 def intern_table_size() -> int:

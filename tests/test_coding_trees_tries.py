@@ -148,6 +148,67 @@ class TestTreePaths:
     def test_labels_preorder(self):
         assert self._tree().labels() == [1, 2, 3]
 
+    @given(tree_strategy)
+    @settings(max_examples=30)
+    def test_flat_paths_match_path_to_root_ports(self, tree):
+        paths = tree.flat_paths_to_root()
+        assert sorted(paths) == sorted(tree.labels())
+        for label, flat in paths.items():
+            pairs = tree.path_to_root_ports(label)
+            assert flat == tuple(x for pair in pairs for x in pair)
+
+    def test_flat_paths_keep_the_first_duplicate_in_preorder(self):
+        root = LabeledRootedTree(1)
+        first, second = LabeledRootedTree(2), LabeledRootedTree(2)
+        root.add_child(3, 0, first)
+        root.add_child(1, 0, second)  # port-smaller, but inserted later
+        assert root.path_to_root_ports(2) == [(0, 3)]
+        assert root.flat_paths_to_root()[2] == (0, 3)
+
+
+class TestDeepTrees:
+    """Trees deeper than the interpreter recursion limit (the canonical
+    BFS tree of a long lollipop is a path of length ~n): every traversal
+    must be iterative."""
+
+    DEPTH = 2000
+
+    def _chain(self):
+        root = LabeledRootedTree(1)
+        node = root
+        for i in range(2, self.DEPTH + 1):
+            child = LabeledRootedTree(i)
+            node.add_child(i % 3, (i + 1) % 2, child)
+            node = child
+        return root
+
+    def test_round_trip_and_equality(self):
+        tree = self._chain()
+        decoded = decode_tree(encode_tree(tree))
+        assert decoded == tree
+        assert decoded == self._chain()
+        assert decoded.size() == self.DEPTH
+        assert decoded.labels() == list(range(1, self.DEPTH + 1))
+        other = self._chain()
+        node = other
+        while node.children:
+            node = node.children[0][2]
+        node.label = -1
+        assert decoded != other
+
+    def test_paths_to_root(self):
+        tree = self._chain()
+        deepest = tree.path_to_root_ports(self.DEPTH)
+        assert len(deepest) == self.DEPTH - 1
+        # the step out of node i climbs through (child port, parent port)
+        assert deepest[0] == ((self.DEPTH + 1) % 2, self.DEPTH % 3)
+        assert deepest[-1] == (1, 2)
+        paths = tree.flat_paths_to_root()
+        assert len(paths) == self.DEPTH
+        for label in (1, 2, self.DEPTH // 2, self.DEPTH):
+            pairs = tree.path_to_root_ports(label)
+            assert paths[label] == tuple(x for pair in pairs for x in pair)
+
 
 class TestTrieCodec:
     def test_leaf(self):

@@ -5,13 +5,20 @@ are one object, across graphs); at chunk boundaries,
 ``clear_view_caches()`` must actually release every process-local table —
 the intern table, the truncation cache, the per-depth view registry, the
 order rank tables and the B^1 encoding cache — so a long sweep's memory
-is bounded by its largest chunk.
+is bounded by its largest chunk.  The shared advice decodes hold
+interned views too (a labeling context memoises labels per view), so a
+clear drops them as well, and their table has a fixed bound for callers
+that never clear.
 """
 
 from __future__ import annotations
 
+import pytest
+
 from repro.coding import Bits
+from repro.core import advice as advice_mod
 from repro.engine import run_experiments
+from repro.errors import ReproError
 from repro.graphs import ring
 from repro.lowerbounds import hk_graph
 from repro.views import (
@@ -54,6 +61,12 @@ def test_clear_view_caches_frees_every_table():
     from repro.views.wire import encode_view_wire
 
     encode_view_wire(views[0])
+    from repro.core import compute_advice
+    from repro.core.elect import ElectAlgorithm
+    from repro.graphs import lollipop
+    from repro.sim import run_sync
+
+    run_sync(lollipop(4, 3), ElectAlgorithm, advice=compute_advice(lollipop(4, 3)).bits)
     assert view_mod._INTERN
     assert view_mod._TRUNCATE_CACHE
     assert view_mod._BY_DEPTH
@@ -63,6 +76,7 @@ def test_clear_view_caches_frees_every_table():
     assert wire_mod._ENCODE_CACHE
     assert wire_mod._DECODE_CACHE
     assert wire_mod._SUBENC_CACHE
+    assert advice_mod._SHARED_DECODES
 
     clear_view_caches()
     assert intern_table_size() == 0
@@ -75,6 +89,7 @@ def test_clear_view_caches_frees_every_table():
     assert not wire_mod._ENCODE_CACHE
     assert not wire_mod._DECODE_CACHE
     assert not wire_mod._SUBENC_CACHE
+    assert not advice_mod._SHARED_DECODES
 
 
 def test_clear_drops_live_message_planes():
@@ -151,4 +166,113 @@ def test_engine_chunks_bound_the_intern_table():
     # opting out keeps the caches warm (single-shot micro-bench mode)
     run_experiments(corpus[:1], task="elect", workers=1, clear_caches=False)
     assert intern_table_size() > 0
+    clear_view_caches()
+
+
+def _advice_algorithms():
+    from repro.baselines.map_based import MapBasedAlgorithm, map_advice
+    from repro.baselines.naive_rank import NaiveRankAlgorithm, naive_rank_advice
+    from repro.core import compute_advice
+    from repro.core.elect import ElectAlgorithm
+
+    return [
+        (ElectAlgorithm, lambda g: compute_advice(g).bits),
+        (MapBasedAlgorithm, map_advice),
+        (NaiveRankAlgorithm, naive_rank_advice),
+    ]
+
+
+def test_every_node_shares_one_decoded_advice():
+    from repro.graphs import lollipop
+    from repro.sim.local_model import NodeContext
+
+    clear_view_caches()
+    g = lollipop(4, 3)
+    for factory, make_advice in _advice_algorithms():
+        advice = make_advice(g)
+        nodes = [factory() for _ in g.nodes()]
+        for node, v in zip(nodes, g.nodes()):
+            node.setup(NodeContext(g.degree(v), advice))
+        assert all(node._decoded is nodes[0]._decoded for node in nodes)
+    # one entry per (decoder, advice string)
+    assert len(advice_mod._SHARED_DECODES) == 3
+    clear_view_caches()
+
+
+@pytest.mark.parametrize("corrupt", ["10", "truncated"])
+def test_malformed_advice_fails_every_setup_and_is_not_cached(corrupt):
+    """A decoder exception propagates to every node's ``setup`` — the same
+    typed error each time — and leaves nothing in the shared table."""
+    from repro.graphs import lollipop
+    from repro.sim.local_model import NodeContext
+
+    clear_view_caches()
+    g = lollipop(4, 3)
+    for factory, make_advice in _advice_algorithms():
+        good = make_advice(g).as_str()
+        bad = Bits(good[:-7] if corrupt == "truncated" else corrupt)
+        errors = set()
+        for v in g.nodes():
+            with pytest.raises(ReproError) as info:
+                factory().setup(NodeContext(g.degree(v), bad))
+            errors.add((type(info.value), str(info.value)))
+        assert len(errors) == 1, (factory.__name__, errors)
+        assert not advice_mod._SHARED_DECODES
+
+
+def test_shared_decodes_are_bounded():
+    clear_view_caches()
+    decoded = []
+
+    def decode(bits):
+        decoded.append(len(bits))
+        return len(bits)
+
+    bound = advice_mod.SHARED_DECODE_MAX
+    for k in range(1, bound + 6):
+        assert advice_mod.decode_shared(Bits("1" * k), decode) == k
+    assert len(advice_mod._SHARED_DECODES) == bound
+    # the newest entries stay, the oldest were evicted
+    advice_mod.decode_shared(Bits("1" * (bound + 5)), decode)
+    assert len(decoded) == bound + 5
+    advice_mod.decode_shared(Bits("1"), decode)
+    assert decoded[-1] == 1 and len(decoded) == bound + 6
+    assert len(advice_mod._SHARED_DECODES) == bound
+    clear_view_caches()
+
+
+def test_shared_decodes_stay_bounded_under_threads():
+    """Concurrent misses and evictions must neither raise nor break the
+    bound (the insert-and-evict step is a check-then-act)."""
+    import sys
+    import threading
+
+    clear_view_caches()
+    bound = advice_mod.SHARED_DECODE_MAX
+    errors = []
+
+    def decode(bits):
+        return len(bits)
+
+    def hammer(offset):
+        try:
+            for k in range(300):
+                size = 1 + (offset * 7 + k) % (3 * bound)
+                assert advice_mod.decode_shared(Bits("1" * size), decode) == size
+        except Exception as exc:  # recorded, asserted below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(advice_mod._SHARED_DECODES) <= bound
     clear_view_caches()
