@@ -13,9 +13,14 @@ from repro.errors import CodingError
 
 def encode_uint(x: int) -> Bits:
     """``bin(x)`` for x >= 0."""
+    return Bits(encode_uint_str(x))
+
+
+def encode_uint_str(x: int) -> str:
+    """:func:`encode_uint` as a raw ``'0'``/``'1'`` string."""
     if x < 0:
         raise CodingError(f"encode_uint requires a non-negative integer, got {x}")
-    return Bits(format(x, "b"))
+    return format(x, "b")
 
 
 def decode_uint(bits: Bits) -> int:
@@ -25,7 +30,11 @@ def decode_uint(bits: Bits) -> int:
     the code is canonical: ``decode_uint(encode_uint(x)) == x`` and
     ``encode_uint(decode_uint(b)) == b`` for every accepted ``b``.
     """
-    s = bits.as_str()
+    return decode_uint_str(bits.as_str())
+
+
+def decode_uint_str(s: str) -> int:
+    """:func:`decode_uint` on a raw ``'0'``/``'1'`` string."""
     if s == "":
         raise CodingError("cannot decode an empty bitstring as an integer")
     if len(s) > 1 and s[0] == "0":

@@ -23,8 +23,18 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.coding.bitstring import Bits
-from repro.coding.concat import concat_bits, decode_concat
-from repro.coding.integers import decode_uint, encode_uint
+from repro.coding.concat import (
+    concat_bits,
+    concat_str,
+    decode_concat,
+    decode_concat_str,
+)
+from repro.coding.integers import (
+    decode_uint,
+    decode_uint_str,
+    encode_uint,
+    encode_uint_str,
+)
 from repro.errors import CodingError
 
 
@@ -143,16 +153,89 @@ class LabeledRootedTree:
 
 
 # ----------------------------------------------------------------------
-# codec
+# codec: one index walk over raw '0'/'1' strings, Bits only at the ends
 # ----------------------------------------------------------------------
+#: ``Concat(bin(1))``, the record of every ascent.
+_ASCENT = concat_str(["1"])
+
+
 def encode_tree(tree: LabeledRootedTree) -> Bits:
     """Binary code of a labeled rooted tree (see module docstring)."""
-    steps: List[Bits] = []
-    labels: List[Bits] = [encode_uint(tree.label)]
-    ascent = concat_bits([encode_uint(1)])
+    steps: List[str] = []
+    labels: List[str] = [encode_uint_str(tree.label)]
     # explicit DFS stack of child iterators (trees can be deeper than the
     # interpreter recursion limit): descend on the next child in port
     # order, ascend when a node's children are exhausted
+    stack = [iter(sorted(tree.children, key=lambda t: t[0]))]
+    while stack:
+        nxt = next(stack[-1], None)
+        if nxt is None:
+            stack.pop()
+            if stack:
+                steps.append(_ASCENT)
+            continue
+        port_parent, port_child, child = nxt
+        parent_code = encode_uint_str(port_parent)
+        steps.append(concat_str(["0", parent_code, encode_uint_str(port_child)]))
+        labels.append(encode_uint_str(child.label))
+        stack.append(iter(sorted(child.children, key=lambda t: t[0])))
+    return Bits._unsafe(concat_str([concat_str(steps), concat_str(labels)]))
+
+
+def decode_tree(bits: Bits) -> LabeledRootedTree:
+    """Inverse of :func:`encode_tree`.  Checks run in the order of the
+    definition: the two parts, every label, then the walk step by step."""
+    try:
+        walk, labels_code = decode_concat_str(bits.as_str())
+    except ValueError:
+        raise CodingError("tree code must have exactly two parts (walk, labels)")
+    steps = decode_concat_str(walk)
+    label_codes = decode_concat_str(labels_code)
+    if not label_codes:
+        raise CodingError("tree code has no labels")
+    labels = [decode_uint_str(lc) for lc in label_codes]
+
+    root = LabeledRootedTree(labels[0])
+    used = 1
+    stack = [root]
+    for step in steps:
+        if step != _ASCENT:
+            fields = decode_concat_str(step)
+            if not fields:
+                raise CodingError("empty walk step in tree code")
+            kind = decode_uint_str(fields[0])
+            if kind == 0:
+                if len(fields) != 3:
+                    raise CodingError("descent step must carry two port numbers")
+                port_parent = decode_uint_str(fields[1])
+                port_child = decode_uint_str(fields[2])
+                if used == len(labels):
+                    raise CodingError("tree code ran out of labels during walk")
+                child = LabeledRootedTree(labels[used])
+                used += 1
+                stack[-1].children.append((port_parent, port_child, child))
+                stack.append(child)
+                continue
+            if kind != 1:
+                raise CodingError(f"unknown walk step kind {kind}")
+        if len(stack) <= 1:
+            raise CodingError("ascent step at the root")
+        stack.pop()
+    if len(stack) != 1:
+        raise CodingError("tree walk did not return to the root")
+    if used != len(labels):
+        raise CodingError(f"{len(labels) - used} unused labels in tree code")
+    return root
+
+
+# ----------------------------------------------------------------------
+# the executable specification (reference implementation for tests)
+# ----------------------------------------------------------------------
+def _encode_tree_spec(tree: LabeledRootedTree) -> Bits:
+    """The :class:`Bits` encoder :func:`encode_tree` flattens."""
+    steps: List[Bits] = []
+    labels: List[Bits] = [encode_uint(tree.label)]
+    ascent = concat_bits([encode_uint(1)])
     stack = [iter(sorted(tree.children, key=lambda t: t[0]))]
     while stack:
         nxt = next(stack[-1], None)
@@ -172,8 +255,8 @@ def encode_tree(tree: LabeledRootedTree) -> Bits:
     return concat_bits([concat_bits(steps), concat_bits(labels)])
 
 
-def decode_tree(bits: Bits) -> LabeledRootedTree:
-    """Inverse of :func:`encode_tree`."""
+def _decode_tree_spec(bits: Bits) -> LabeledRootedTree:
+    """The :class:`Bits` parser :func:`decode_tree` flattens."""
     try:
         walk_bits, labels_bits = decode_concat(bits)
     except ValueError:

@@ -29,7 +29,6 @@ from repro.core.trie_builder import build_trie
 from repro.errors import AdviceError
 from repro.graphs.port_graph import PortGraph
 from repro.views.election_index import election_index
-from repro.views.order import sort_views
 from repro.views.view import View, view_levels
 
 
@@ -94,8 +93,9 @@ def compute_advice(g: PortGraph, phi: Optional[int] = None) -> AdviceBundle:
             break
 
     ctx = LabelingContext()
-    s1 = sort_views(set(levels[1]))
-    ctx.e1 = build_trie(s1, ctx)
+    # BuildTrie's result depends only on the set of views (the deep
+    # builder sorts at entry), so the sets are passed in any order
+    ctx.e1 = build_trie(set(levels[1]), ctx)
     e2: E2Type = []
 
     for i in range(2, phi + 1):
@@ -108,7 +108,7 @@ def compute_advice(g: PortGraph, phi: Optional[int] = None) -> AdviceBundle:
         for j in sorted(groups):
             distinct = set(levels[i][u] for u in groups[j])
             if len(distinct) > 1:
-                trie = build_trie(sort_views(distinct), ctx)
+                trie = build_trie(distinct, ctx)
                 layer_list.append((j, trie))
         e2.append((i, layer_list))
         ctx.add_layer(i, dict(layer_list))

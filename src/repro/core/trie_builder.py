@@ -14,6 +14,14 @@ produce a trie whose queries route each view of S to a distinct leaf.
   query is ``(i, RetrieveLabel(Bdisc))`` — crucially O(log n) bits, which
   is what keeps the whole advice at O(n log n) (the naive depth-phi
   queries would cost a factor phi more; see Section 3's discussion).
+
+Both builders split each set in one pass over it.  Depth 1 works on the
+encodings, computed once per call: the first differing bit of a set of
+equal-length strings is the first differing bit of its smallest and
+largest string.  The deep builder sorts once at entry; a filter keeps the
+canonical order, so the two smallest views of every subset are its head
+(interning a view later re-ranks its depth without reordering older
+views).  The seed builder stays below as :func:`_build_trie_spec`.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.coding.tries import Trie, trie_leaf, trie_node
-from repro.core.labels import LabelingContext, retrieve_label
+from repro.core.labels import LabelingContext, _retrieve_label_spec, retrieve_label
 from repro.errors import AdviceError
 from repro.views.encoding import encode_b1
 from repro.views.order import view_compare, view_sort_key
@@ -34,6 +42,13 @@ def build_trie(views: Sequence[View], ctx: LabelingContext) -> Trie:
     The views must all have the same depth and be pairwise distinct; the
     resulting trie has exactly ``len(views)`` leaves (Claims 3.1 / 3.6).
     """
+    views = _checked(views)
+    if views[0].depth == 1:
+        return _build_depth1([encode_b1(v).as_str() for v in views])
+    return _build_deep(sorted(views, key=view_sort_key), ctx)
+
+
+def _checked(views: Sequence[View]) -> List[View]:
     views = list(views)
     if not views:
         raise AdviceError("build_trie requires a non-empty view set")
@@ -43,12 +58,76 @@ def build_trie(views: Sequence[View], ctx: LabelingContext) -> Trie:
             raise AdviceError("build_trie requires views of a single depth")
     if len(set(views)) != len(views):
         raise AdviceError("build_trie requires pairwise distinct views")
-    if depth == 1:
-        return _build_depth1(views)
-    return _build_deep(views, ctx)
+    return views
 
 
-def _build_depth1(views: List[View]) -> Trie:
+def _build_depth1(codes: List[str]) -> Trie:
+    """The depth-1 trie over the encodings ``bin(B^1)`` of a view set."""
+    if len(codes) == 1:
+        return trie_leaf()
+    left: List[str] = []
+    right: List[str] = []
+    longest = max(map(len, codes))
+    if min(map(len, codes)) < longest:
+        for code in codes:
+            (left if len(code) < longest else right).append(code)
+        query = (0, longest)
+    else:
+        lo, hi = min(codes), max(codes)
+        if lo == hi:
+            raise AdviceError(
+                "distinct depth-1 views share one encoding: codec is broken"
+            )
+        # 0-based index of the first bit where lo and hi differ
+        j = longest - (int(lo, 2) ^ int(hi, 2)).bit_length()
+        for code in codes:
+            (left if code[j] == "0" else right).append(code)
+        query = (1, j + 1)
+    return trie_node(query, _build_depth1(left), _build_depth1(right))
+
+
+def _build_deep(ordered: List[View], ctx: LabelingContext) -> Trie:
+    """The deep trie over ``ordered``, sorted ascending by view order."""
+    if len(ordered) == 1:
+        return trie_leaf()
+    u, v = ordered[0], ordered[1]
+    # discriminatory index: smallest port whose child views differ between
+    # the two canonically-smallest views of S
+    index = None
+    for i in range(u.degree):
+        if u.child(i) is not v.child(i):
+            index = i
+            break
+    if index is None:
+        raise AdviceError(
+            "two distinct views with identical children: interning is broken"
+        )
+    ca, cb = u.child(index), v.child(index)
+    b_disc = ca if view_compare(ca, cb) < 0 else cb
+    left: List[View] = []
+    right: List[View] = []
+    for b in ordered:
+        (right if b.children[index][1] is b_disc else left).append(b)
+    if not left or not right:
+        raise AdviceError("deep trie split produced an empty side")
+    query = (index, retrieve_label(b_disc, ctx))
+    return trie_node(query, _build_deep(left, ctx), _build_deep(right, ctx))
+
+
+# ----------------------------------------------------------------------
+# the executable specification (reference implementation for tests)
+# ----------------------------------------------------------------------
+def _build_trie_spec(views: Sequence[View], ctx: LabelingContext) -> Trie:
+    """BuildTrie as first written: every split rescans and every deep
+    level re-sorts its set; deep queries label through
+    :func:`~repro.core.labels._retrieve_label_spec`."""
+    views = _checked(views)
+    if views[0].depth == 1:
+        return _build_depth1_spec(views)
+    return _build_deep_spec(views, ctx)
+
+
+def _build_depth1_spec(views: List[View]) -> Trie:
     if len(views) == 1:
         return trie_leaf()
     encodings = {v: encode_b1(v) for v in views}
@@ -74,16 +153,16 @@ def _build_depth1(views: List[View]) -> Trie:
     right_set = [v for v in views if v not in set(left_set)]
     if not left_set or not right_set:
         raise AdviceError("depth-1 trie split produced an empty side")
-    return trie_node(query, _build_depth1(left_set), _build_depth1(right_set))
+    return trie_node(
+        query, _build_depth1_spec(left_set), _build_depth1_spec(right_set)
+    )
 
 
-def _build_deep(views: List[View], ctx: LabelingContext) -> Trie:
+def _build_deep_spec(views: List[View], ctx: LabelingContext) -> Trie:
     if len(views) == 1:
         return trie_leaf()
     ordered = sorted(views, key=view_sort_key)
     u, v = ordered[0], ordered[1]
-    # discriminatory index: smallest port whose child views differ between
-    # the two canonically-smallest views of S
     index = None
     for i in range(u.degree):
         if u.child(i) is not v.child(i):
@@ -99,5 +178,7 @@ def _build_deep(views: List[View], ctx: LabelingContext) -> Trie:
     right_set = [b for b in views if b.child(index) is b_disc]
     if not left_set or not right_set:
         raise AdviceError("deep trie split produced an empty side")
-    query = (index, retrieve_label(b_disc, ctx))
-    return trie_node(query, _build_deep(left_set, ctx), _build_deep(right_set, ctx))
+    query = (index, _retrieve_label_spec(b_disc, ctx))
+    return trie_node(
+        query, _build_deep_spec(left_set, ctx), _build_deep_spec(right_set, ctx)
+    )

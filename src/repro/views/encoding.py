@@ -15,8 +15,8 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.coding.bitstring import Bits
-from repro.coding.concat import concat_bits
-from repro.coding.integers import encode_uint
+from repro.coding.concat import concat_str
+from repro.coding.integers import encode_uint_str
 from repro.views.view import View
 
 _B1_CACHE: Dict[int, Bits] = {}
@@ -31,13 +31,19 @@ def encode_b1(view: View) -> Bits:
     cached = _B1_CACHE.get(id(view))
     if cached is not None:
         return cached
-    triples = []
-    for j, (remote_port, child) in enumerate(view.children):
-        triples.append(
-            concat_bits(
-                [encode_uint(j), encode_uint(remote_port), encode_uint(child.degree)]
-            )
+    result = Bits._unsafe(
+        concat_str(
+            [
+                concat_str(
+                    [
+                        encode_uint_str(j),
+                        encode_uint_str(remote_port),
+                        encode_uint_str(child.degree),
+                    ]
+                )
+                for j, (remote_port, child) in enumerate(view.children)
+            ]
         )
-    result = concat_bits(triples)
+    )
     _B1_CACHE[id(view)] = result
     return result

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.coding import Bits, concat_bits, decode_concat
+from repro.coding.concat import _decode_concat_spec
 from repro.errors import CodingError
 
 bits_strategy = st.text(alphabet="01", max_size=40).map(Bits)
@@ -99,3 +100,38 @@ class TestConcat:
     def test_rejects_non_bits_components(self):
         with pytest.raises(CodingError):
             concat_bits(["01"])  # type: ignore[list-item]
+
+
+def _decoded(decode, s):
+    try:
+        return "ok", decode(Bits(s))
+    except CodingError as exc:
+        return CodingError, str(exc)
+
+
+class TestDecodeMatchesTheSeed:
+    """The linear mismatch walk returns the seed decoder's components, or
+    raises its error with its message."""
+
+    @given(st.text(alphabet="01", max_size=120))
+    def test_random_strings(self, s):
+        assert _decoded(decode_concat, s) == _decoded(_decode_concat_spec, s)
+
+    @given(
+        st.lists(bits_strategy, max_size=12),
+        st.integers(min_value=0, max_value=10**6),
+        st.sampled_from(["keep", "flip", "cut"]),
+    )
+    def test_framed_strings_and_their_corruptions(self, parts, at, how):
+        s = concat_bits(parts).as_str()
+        if s and how == "flip":
+            p = at % len(s)
+            s = s[:p] + ("1" if s[p] == "0" else "0") + s[p + 1 :]
+        elif s and how == "cut":
+            s = s[: at % len(s)]
+        assert _decoded(decode_concat, s) == _decoded(_decode_concat_spec, s)
+
+    def test_many_components(self):
+        parts = [Bits(format(i, "b")) for i in range(3000)]
+        s = concat_bits(parts).as_str()
+        assert decode_concat(Bits(s)) == _decode_concat_spec(Bits(s)) == parts

@@ -1,6 +1,8 @@
 """Codec tests for labeled rooted trees (advice item A2) and tries
 (advice item A1), including hypothesis-generated random structures."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -235,6 +237,31 @@ class TestTrieCodec:
     @settings(max_examples=20)
     def test_size_identity(self, trie):
         assert trie.size() == 2 * trie.num_leaves() - 1
+
+    @given(trie_strategy)
+    @settings(max_examples=40)
+    def test_stored_leaf_count_is_a_direct_count(self, trie):
+        leaves, stack = 0, [trie]
+        while stack:
+            node = stack.pop()
+            if node.query is None:
+                leaves += 1
+            else:
+                stack += [node.left, node.right]
+        assert trie.num_leaves() == leaves
+        assert 2 * trie.num_leaves() - 1 == trie.size()
+
+    def test_stored_leaf_count_is_not_a_field(self):
+        """Equality, hash and repr see the three fields only, so a shared
+        leaf and fresh ``Trie(None)`` leaves build equal tries."""
+        names = [f.name for f in dataclasses.fields(Trie)]
+        assert names == ["query", "left", "right"]
+        assert repr(trie_leaf()) == "Trie(query=None, left=None, right=None)"
+        inner = trie_node((0, 3), trie_leaf(), trie_leaf())
+        shared = trie_node((1, 5), inner, trie_leaf())
+        fresh = Trie((1, 5), Trie((0, 3), Trie(None), Trie(None)), Trie(None))
+        assert shared == fresh and hash(shared) == hash(fresh)
+        assert shared.num_leaves() == fresh.num_leaves() == 3
 
     def test_queries_preorder(self):
         t = trie_node((1, 5), trie_node((0, 3), trie_leaf(), trie_leaf()), trie_leaf())
