@@ -3,9 +3,13 @@
 A server on an ephemeral port, driven through urllib and through
 ``repro query`` — the same path CI's service-smoke job exercises."""
 
+import http.client
 import io
 import json
+import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -19,6 +23,7 @@ from repro.service import (
     make_server,
     serve_until_shutdown,
 )
+from repro.service.server import ServiceHTTPServer
 
 
 @pytest.fixture()
@@ -231,6 +236,190 @@ class TestEndpoints:
             assert resp.will_close  # server closed: nothing left to parse
         finally:
             conn.close()
+
+
+class _CountingSocket(socket.socket):
+    """An accepted connection that records each socket write, with the
+    TCP_NODELAY flag the write went out under."""
+
+    def _record(self, data):
+        nodelay = self.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        self.writes.append((len(data), bool(nodelay)))
+
+    def sendall(self, data, *args):
+        self._record(data)
+        return super().sendall(data, *args)
+
+    def send(self, data, *args):
+        self._record(data)
+        return super().send(data, *args)
+
+
+class _CountingServer(ServiceHTTPServer):
+    """Hands every handler a :class:`_CountingSocket` over the accepted
+    file descriptor, shared as ``self.writes``."""
+
+    def __init__(self, core):
+        super().__init__(("127.0.0.1", 0), core)
+        self.writes = []
+
+    def get_request(self):
+        sock, addr = super().get_request()
+        counted = _CountingSocket(
+            sock.family, sock.type, sock.proto, fileno=sock.detach()
+        )
+        counted.writes = self.writes
+        return counted, addr
+
+
+@pytest.fixture()
+def counting_service():
+    server = _CountingServer(ServiceCore())
+    ready = threading.Event()
+    thread = threading.Thread(
+        target=serve_until_shutdown,
+        kwargs=dict(server=server, ready=ready),
+        daemon=True,
+    )
+    thread.start()
+    assert ready.wait(5)
+    yield server
+    server.shutdown()
+    thread.join(5)
+
+
+def _exchange(port, method, path, body=None, headers=()):
+    """One request on a fresh connection; returns (status, headers,
+    body) once the whole response is read."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        conn.putrequest(method, path)
+        for key, value in headers:
+            conn.putheader(key, value)
+        if body is not None:
+            conn.putheader("Content-Length", str(len(body)))
+        conn.endheaders()
+        if body is not None:
+            conn.send(body)
+        resp = conn.getresponse()
+        return resp.status, resp.getheaders(), resp.read()
+    finally:
+        conn.close()
+
+
+class TestOneSegmentPerResponse:
+    """Every response leaves in one write on a NODELAY socket: a reply
+    split into headers and body meets Nagle's algorithm and the client's
+    delayed ACK, ~40 ms per keep-alive request."""
+
+    def test_every_response_is_one_socket_write(self, counting_service):
+        server = counting_service
+        port = server.server_address[1]
+        graph = json.dumps(to_dict(random_tree(10, seed=2))).encode()
+        infeasible = json.dumps(to_dict(ring(6))).encode()
+        batch = json.dumps(
+            {"requests": [{"task": "index", "graph": json.loads(graph)}]}
+        ).encode()
+        cases = [
+            ("elect 200", 200, "POST", "/v1/elect", graph, ()),
+            ("bad JSON", 400, "POST", "/v1/index", b"{not json", ()),
+            ("unknown route", 404, "POST", "/nope", b"{}", ()),
+            (
+                "chunked",
+                411,
+                "POST",
+                "/v1/index",
+                None,
+                (("Transfer-Encoding", "chunked"),),
+            ),
+            ("infeasible", 422, "POST", "/v1/elect", infeasible, ()),
+            ("batch", 200, "POST", "/v1/batch", batch, ()),
+            ("healthz", 200, "GET", "/healthz", None, ()),
+            ("metrics JSON", 200, "GET", "/metrics", None, ()),
+            (
+                "metrics Prometheus",
+                200,
+                "GET",
+                "/metrics",
+                None,
+                (("Accept", "text/plain"),),
+            ),
+        ]
+        for label, status, method, path, body, headers in cases:
+            del server.writes[:]
+            got, _headers, payload = _exchange(port, method, path, body, headers)
+            assert got == status, label
+            assert payload, label
+            assert len(server.writes) == 1, (label, server.writes)
+            ((size, nodelay),) = server.writes
+            assert size > len(payload), label  # head and body together
+            assert nodelay, label
+
+    def test_close_is_announced_on_every_content_type(self, service):
+        """A request that asks to close gets ``Connection: close`` back
+        on JSON and Prometheus bodies alike."""
+        url, _core = service
+        port = int(url.rsplit(":", 1)[1])
+        for headers in (
+            (("Connection", "close"),),
+            (("Connection", "close"), ("Accept", "text/plain")),
+        ):
+            status, got, _body = _exchange(port, "GET", "/metrics", None, headers)
+            assert status == 200
+            assert dict(got).get("Connection") == "close", headers
+
+    def test_expect_100_continue_is_answered_before_the_body(self, service):
+        """The interim ``100 Continue`` must leave at once, not sit in a
+        buffer while the server blocks reading the body."""
+        url, _core = service
+        port = int(url.rsplit(":", 1)[1])
+        body = json.dumps(to_dict(random_tree(10, seed=2))).encode()
+        sock = socket.create_connection(("127.0.0.1", port), timeout=2)
+        try:
+            reader = sock.makefile("rb")
+            sock.sendall(
+                b"POST /v1/index HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                b"Content-Type: application/json\r\n"
+                + f"Content-Length: {len(body)}\r\n".encode()
+                + b"Expect: 100-continue\r\n\r\n"
+            )
+            assert reader.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert reader.readline() == b"\r\n"
+            sock.sendall(body)
+            assert reader.readline().startswith(b"HTTP/1.1 200 ")
+            length = None
+            while True:
+                line = reader.readline()
+                if line == b"\r\n":
+                    break
+                key, _, value = line.decode("latin-1").partition(":")
+                if key.lower() == "content-length":
+                    length = int(value)
+            assert json.loads(reader.read(length))["cached"] is False
+        finally:
+            sock.close()
+
+    def test_warm_keep_alive_queries_are_not_delayed(self, service):
+        """40 sequential warm queries on one keep-alive connection: the
+        median must be far below the ~40 ms delayed-ACK stall."""
+        url, _core = service
+        port = int(url.rsplit(":", 1)[1])
+        body = json.dumps(to_dict(random_tree(10, seed=2))).encode()
+        headers = {"Content-Type": "application/json"}
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            conn.request("POST", "/v1/index", body, headers)
+            assert json.load(conn.getresponse())["cached"] is False
+            latencies = []
+            for _ in range(40):
+                start = time.perf_counter()
+                conn.request("POST", "/v1/index", body, headers)
+                resp = conn.getresponse()
+                assert json.load(resp)["cached"] is True
+                latencies.append(time.perf_counter() - start)
+        finally:
+            conn.close()
+        assert statistics.median(latencies) < 0.015, latencies
 
 
 class TestSignalHandlers:
