@@ -6,10 +6,10 @@ writes it to ``benchmarks/out/<name>.txt`` so EXPERIMENTS.md can quote
 stable artifacts.
 
 Alongside each ``.txt``, :func:`emit` writes a machine-readable twin
-``BENCH_<name>.json`` in the canonical ``repro-bench/1`` schema
-(``kind="table"``; see :mod:`repro.analysis.bench`), so the historical
-prose benches feed the same JSON trajectory as the timing scenarios of
-``repro bench`` — one schema, one validator, one artifact directory.
+``BENCH_<name>.json`` in the canonical ``repro-bench/2`` schema
+(``kind="table"``; see :mod:`repro.analysis.bench`) — one schema and
+one validator with the ratio records of ``repro bench``.  Both are run
+outputs: ``benchmarks/out/`` is ignored by git.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ def emit(name: str, title: str, body: str) -> None:
     """Print a table and persist it (plus its JSON twin) under
     benchmarks/out/."""
     from repro.analysis.bench import (
-        make_table_record,
+        make_bench_record,
         validate_bench_record,
         write_json,
     )
@@ -32,6 +32,8 @@ def emit(name: str, title: str, body: str) -> None:
     text = f"== {title} ==\n{body}\n"
     print("\n" + text)
     (OUT_DIR / f"{name}.txt").write_text(text)
-    record = make_table_record(name, title, body)
+    record = make_bench_record(
+        name, [{"case": name, "title": title, "text": body}], False, "table"
+    )
     validate_bench_record(record)
     write_json(str(OUT_DIR / f"BENCH_{name}.json"), record)

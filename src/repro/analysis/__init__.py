@@ -1,15 +1,6 @@
 """Measurement and reporting helpers shared by the benches and examples."""
 
 from repro.analysis.tables import format_markdown_table, format_table
-from repro.analysis.bench import (
-    BENCH_SCHEMA,
-    SCENARIOS,
-    bench_table,
-    env_fingerprint,
-    make_bench_record,
-    make_table_record,
-    validate_bench_record,
-)
 from repro.analysis.conformance import (
     ConformanceSummary,
     algorithm_table,
@@ -27,13 +18,6 @@ from repro.analysis.sweep import (
 __all__ = [
     "format_table",
     "format_markdown_table",
-    "BENCH_SCHEMA",
-    "SCENARIOS",
-    "bench_table",
-    "env_fingerprint",
-    "make_bench_record",
-    "make_table_record",
-    "validate_bench_record",
     "ConformanceSummary",
     "summarize_conformance",
     "family_table",

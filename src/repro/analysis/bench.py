@@ -1,797 +1,395 @@
-"""The machine-readable perf harness: named scenarios, canonical records.
+"""``repro bench``: the same-run ratio cases the CI gates read.
 
-The ROADMAP's north star is "as fast as the hardware allows", but prose
-``.txt`` tables cannot anchor a trajectory: nothing downstream can diff
-them, gate on them, or compute a speedup from them.  This module defines
-
-* a registry of named **perf scenarios** (``refinement``, ``sweep``,
-  ``strict``, ``conformance``) — each runs a fixed, seeded workload
-  through the library's hot paths and times it (min over repeats);
-* the canonical ``BENCH_<scenario>.json`` record schema (version
-  ``repro-bench/1``) with an environment fingerprint and, when a recorded
-  baseline is available, a per-case **speedup** against it;
-* the **baseline** file format (``repro-bench-baseline/1``): timings of a
-  reference implementation recorded *by this same harness*, which is what
-  makes a speedup claim reproducible — same scenarios, same cases, same
-  measurement discipline (``benchmarks/baseline_seed.json`` holds the
-  pre-CSR seed implementation's numbers);
-* ``validate_bench_record`` — the schema gate CI runs on every emitted
-  record (``repro bench --check``), so a malformed record fails the build
-  instead of silently dropping out of the trajectory.
-
-Entry points: the ``repro bench`` CLI subcommand and the thin
-``benchmarks/harness.py`` wrapper.  ``benchmarks/conftest.py`` writes a
-``kind="table"`` twin of every historical prose bench through the same
-schema, so old and new artifacts feed one trajectory.
-
-Scenario cases are deterministic (fixed generator seeds, fixed corpus
-family prefixes), so a baseline and a candidate measure the *identical*
-workload; timings are wall-clock ``perf_counter`` minima, with the view
-caches cleared before every repeat that touches them.
+The benchmark of record is ``perfbench/``.  This module keeps what only
+a same-run ratio shows: how much a fast path beats its reference on the
+identical workload, in one process, so no recorded number depends on
+the machine it was taken on.  Each scenario is a table of
+:class:`RatioCase` rows, all timed by one driver, :func:`measure`.
+Records use the ``repro-bench/2`` schema, whose single authority is
+:func:`validate_bench_record`.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import os
-import platform
-import sys
+import statistics
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from dataclasses import dataclass
+from itertools import islice
+from typing import Any, Callable, Dict, Iterator, List, Sequence
 
-from repro.errors import ReproError
+from repro.errors import BenchSchemaError, ReproError
 
-BENCH_SCHEMA = "repro-bench/1"
-BASELINE_SCHEMA = "repro-bench-baseline/1"
+BENCH_SCHEMA = "repro-bench/2"
 
-#: A case is one timed (or tabulated) unit inside a scenario record.
+#: Alternated timed runs per side of every case.
+K = 5
+
+#: One measured case inside a scenario record.
 Case = Dict[str, Any]
 
-#: ``fn(quick) -> [case, ...]``; registered under the scenario name.
-ScenarioFn = Callable[[bool], List[Case]]
 
-SCENARIOS: Dict[str, ScenarioFn] = {}
+@dataclass(frozen=True)
+class RatioCase:
+    """One row of a scenario table.  ``build()`` makes the inputs both
+    sides run on; ``subject`` is timed against ``reference``; ``parity``
+    projects each side's return value onto what must agree between them.
+    ``versus`` names the reference in the record keys
+    (``speedup_vs_<versus>``, ``<versus>_seconds``), and ``info`` adds
+    the case's descriptive fields once timing is done."""
+
+    case: str
+    versus: str
+    build: Callable[[], Any]
+    subject: Callable[[Any], Any]
+    reference: Callable[[Any], Any]
+    parity: Callable[[Any], Any] = lambda answer: answer
+    info: Callable[[Any, Case], Dict[str, Any]] = lambda inputs, case: {}
 
 
-def register_scenario(name: str) -> Callable[[ScenarioFn], ScenarioFn]:
-    """Decorator: register a perf scenario under ``name``."""
-
-    def deco(fn: ScenarioFn) -> ScenarioFn:
-        if name in SCENARIOS:
-            raise ValueError(f"scenario '{name}' is already registered")
-        SCENARIOS[name] = fn
-        return fn
-
-    return deco
-
-
-def env_fingerprint() -> Dict[str, Any]:
-    """Where a record was measured: enough to judge comparability."""
+def compare(subject: Sequence[float], reference: Sequence[float], versus: str) -> Case:
+    """Median and interquartile range of both samples, the ratio of the
+    medians, and ``inconclusive`` when the two quartile ranges overlap."""
+    s_q1, s_med, s_q3 = statistics.quantiles(subject, n=4, method="inclusive")
+    r_q1, r_med, r_q3 = statistics.quantiles(reference, n=4, method="inclusive")
     return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
+        "seconds": s_med,
+        "seconds_iqr": s_q3 - s_q1,
+        f"{versus}_seconds": r_med,
+        f"{versus}_seconds_iqr": r_q3 - r_q1,
+        f"speedup_vs_{versus}": r_med / s_med,
+        "inconclusive": s_q1 <= r_q3 and r_q1 <= s_q3,
     }
 
 
-def _gc_totals() -> Tuple[int, int]:
-    """Cumulative ``(collections, collected)`` across all GC generations."""
-    stats = gc.get_stats()
-    return (
-        sum(s.get("collections", 0) for s in stats),
-        sum(s.get("collected", 0) for s in stats),
-    )
+def measure(row: RatioCase) -> Case:
+    """The one timing-and-parity driver.  Each side runs once, untimed,
+    and a disagreement raises before any clock starts; then ``K``
+    alternated timed runs of subject and reference, each after
+    ``clear_view_caches()``."""
+    from repro.views import clear_view_caches
 
-
-def _peak_rss_kb() -> Optional[int]:
-    """The process's high-water resident set in KB (None off POSIX)."""
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-POSIX platform
-        return None
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # ru_maxrss is kilobytes on Linux, bytes on macOS
-    return int(rss // 1024) if sys.platform == "darwin" else int(rss)
-
-
-def _time_case(
-    fn: Callable[[], Any], repeats: int, clear_caches: bool = False
-) -> Tuple[float, int, Dict[str, Any]]:
-    """Min wall-clock over ``repeats`` runs of ``fn``, plus the resource
-    counters around the loop: ``peak_rss_kb`` is the process-lifetime
-    high-water mark sampled after the case (monotone across a scenario,
-    so the first case whose cell jumps is the one that grew the heap),
-    and the ``gc_*`` deltas are the collector work the timed loop
-    triggered."""
-    gc_collections0, gc_collected0 = _gc_totals()
-    best = float("inf")
-    for _ in range(repeats):
-        if clear_caches:
-            from repro.views import clear_view_caches
-
+    inputs = row.build()
+    sides = (row.subject, row.reference)
+    # one cache epoch for both answers: views are interned, so answers
+    # holding views compare equal only within an epoch
+    clear_view_caches()
+    answers = [row.parity(fn(inputs)) for fn in sides]
+    if answers[0] != answers[1]:
+        raise ReproError(
+            f"{row.case}: subject and reference disagree — refusing to "
+            f"time a broken path"
+        )
+    samples: List[List[float]] = [[], []]
+    for _ in range(K):
+        for fn, out in zip(sides, samples):
             clear_view_caches()
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    gc_collections1, gc_collected1 = _gc_totals()
-    resources = {
-        "peak_rss_kb": _peak_rss_kb(),
-        "gc_collections": gc_collections1 - gc_collections0,
-        "gc_collected": gc_collected1 - gc_collected0,
-    }
-    return best, repeats, resources
+            t0 = time.perf_counter()
+            fn(inputs)
+            out.append(time.perf_counter() - t0)
+    case: Case = {"case": row.case, "repeats": K}
+    case.update(compare(samples[0], samples[1], row.versus))
+    case.update(row.info(inputs, case))
+    return case
 
 
-# ----------------------------------------------------------------------
-# scenarios
-# ----------------------------------------------------------------------
-@register_scenario("refinement")
-def _scenario_refinement(quick: bool) -> List[Case]:
-    """``stable_partition`` on corpus-shaped graphs: the partition-
-    refinement hot loop, at four-digit n and (full mode) up to ~50k."""
-    from repro.graphs.generators import grid_torus, random_regular, random_tree
-    from repro.views.refinement import stable_partition
-
-    if quick:
-        specs = [
-            ("random-tree-n300", lambda: random_tree(300, seed=1)),
-            ("random-regular-n200-d4", lambda: random_regular(200, 4, seed=1)),
-            ("torus-10x11", lambda: grid_torus(10, 11)),
-        ]
-        repeats = 2
-    else:
-        specs = [
-            ("random-tree-n2000", lambda: random_tree(2000, seed=1)),
-            ("random-tree-n5000", lambda: random_tree(5000, seed=2)),
-            ("random-tree-n9000", lambda: random_tree(9000, seed=3)),
-            ("random-regular-n2000-d4", lambda: random_regular(2000, 4, seed=1)),
-            ("torus-44x45", lambda: grid_torus(44, 45)),
-            ("random-tree-n50000", lambda: random_tree(50000, seed=1)),
-        ]
-        repeats = 3
-    cases: List[Case] = []
-    for case_name, build in specs:
-        g = build()
-        seconds, reps, resources = _time_case(
-            lambda: stable_partition(g), repeats
-        )
-        cases.append(
-            {
-                "case": case_name,
-                "seconds": seconds,
-                "repeats": reps,
-                "n": g.n,
-                **resources,
-            }
-        )
-    return cases
-
-
-@register_scenario("sweep")
-def _scenario_sweep(quick: bool) -> List[Case]:
-    """End-to-end ``repro sweep`` of a corpus family through the streaming
-    engine: lazy generation -> task -> records, exactly the CLI path."""
-    from repro.corpus import get_family
-    from repro.engine import EngineConfig, run_stream
-    from repro.views.refinement import stable_partition
-
-    if quick:
-        index_params = dict(count=6, seed=0, min_n=20, max_n=60)
-        elect_params = dict(count=3, seed=0, min_n=10, max_n=30)
-        repeats = 1
-    else:
-        index_params = dict(count=30, seed=0, min_n=400, max_n=1200)
-        elect_params = dict(count=10, seed=0, min_n=40, max_n=120)
-        repeats = 2
-
-    def run_family(task: str, params: Dict[str, int], feasible_only: bool):
-        def one_pass() -> None:
-            stream = get_family("random-trees").generate(
-                params["count"] * (3 if feasible_only else 1),
-                seed=params["seed"],
-                min_n=params["min_n"],
-                max_n=params["max_n"],
-            )
-            if feasible_only:
-                # deterministic prefix of feasible entries: the elect task
-                # rejects infeasible graphs, and "mixed" families may
-                # contain them
-                def feasible(entries):
-                    taken = 0
-                    for name, g in entries:
-                        if stable_partition(g).discrete:
-                            yield name, g
-                            taken += 1
-                            if taken == params["count"]:
-                                return
-
-                stream = feasible(stream)
-            records = list(run_stream(stream, task, EngineConfig(workers=1)))
-            if not records:
-                raise ReproError(f"sweep scenario produced no records ({task})")
-
-        return one_pass
-
-    cases: List[Case] = []
-    for case_name, task, params, feasible_only in (
-        ("random-trees-index", "index", index_params, False),
-        ("random-trees-elect", "elect", elect_params, True),
-    ):
-        seconds, reps, resources = _time_case(
-            run_family(task, params, feasible_only), repeats, clear_caches=True
-        )
-        cases.append(
-            {
-                "case": case_name,
-                "seconds": seconds,
-                "repeats": reps,
-                "count": params["count"],
-                **resources,
-            }
-        )
-    return cases
-
-
-@register_scenario("strict")
-def _scenario_strict(quick: bool) -> List[Case]:
-    """Strict-wire election: every message serialized to bits and decoded
-    back — the byte-honest engine plus the coding layer, broken down per
-    graph family (trees, caterpillars, lollipops) so a coding-layer
-    regression shows *where* it bites.
-
-    Each case is classified ``bound="wire"`` (serialization dominates the
-    profile: dense lollipop views recur across many ports and rounds) or
-    ``bound="compute"`` (advice decode / trie queries dominate; the codec
-    caches cannot help much).  The pre-optimization codec survives as
-    ``seed_wire_wrapped``, so every case first asserts the fast path
-    byte-identical to it on the full run (outputs, rounds, per-round
-    message counts, per-node ``bits_sent``) and then times both on the
-    identical workload; the ratio is emitted as ``speedup_vs_seed``, the
-    number the CI gate reads (>= 3x on wire-bound cases), alongside the
-    shared message plane's dedup hit counters."""
+# Scenarios are generators yielding their table; code after the yield
+# releases what the rows share (worker pools, scratch directories).
+def _strict(quick: bool) -> Iterator[List[RatioCase]]:
+    """Strict-wire election, the memoized codec against the seed codec,
+    per graph family.  ``bound="wire"`` cases are serialization-dominated
+    (dense lollipop views recur across ports and rounds), ``"compute"``
+    ones advice-decode-dominated, where the codec caches help less.
+    Parity compares the whole ``RunResult`` (outputs, rounds, message
+    counts) and every node's ``bits_sent``."""
     from repro.core.advice import compute_advice
     from repro.core.elect import ElectAlgorithm
     from repro.graphs.generators import caterpillar, lollipop, random_tree
     from repro.sim import run_sync
     from repro.sim.strict import MessagePlane, seed_wire_wrapped, wire_wrapped
-    from repro.views import clear_view_caches
 
-    # parameters chosen so every graph is feasible (asserted below)
-    if quick:
-        specs = [
-            (
-                "elect-wire-tree-n24",
-                "random-trees",
-                "compute",
-                lambda: random_tree(24, seed=2),
-            ),
-            (
-                "elect-wire-caterpillar-s8",
-                "caterpillars",
-                "compute",
-                lambda: caterpillar(8, (1, 3, 0, 2, 4, 0, 1, 2)),
-            ),
-            (
-                "elect-wire-lollipop-k8t12",
-                "lollipops",
-                "wire",
-                lambda: lollipop(8, 12),
-            ),
-        ]
-    else:
-        specs = [
-            (
-                "elect-wire-tree-n60",
-                "random-trees",
-                "compute",
-                lambda: random_tree(60, seed=2),
-            ),
-            (
-                "elect-wire-tree-n90",
-                "random-trees",
-                "compute",
-                lambda: random_tree(90, seed=4),
-            ),
-            (
-                "elect-wire-caterpillar-s16",
-                "caterpillars",
-                "compute",
-                lambda: caterpillar(
-                    16, (1, 3, 0, 2, 4, 0, 1, 2, 5, 0, 3, 1, 2, 0, 4, 1)
-                ),
-            ),
-            (
-                "elect-wire-lollipop-k8t20",
-                "lollipops",
-                "wire",
-                lambda: lollipop(8, 20),
-            ),
-        ]
-    repeats = 2 if quick else 3
-    cases: List[Case] = []
-    for case_name, family, bound, build in specs:
+    # sizes chosen so every graph is feasible (compute_advice raises)
+    legs = (1, 3, 0, 2, 4, 0, 1, 2) + (() if quick else (5, 0, 3, 1, 2, 0, 4, 1))
+    tail = 12 if quick else 20
+    trees = [(24, 2)] if quick else [(60, 2), (90, 4)]
+    specs = [
+        (f"elect-wire-tree-n{n}", "random-trees", "compute",
+         lambda n=n, seed=seed: random_tree(n, seed=seed))
+        for n, seed in trees
+    ] + [
+        (f"elect-wire-caterpillar-s{len(legs)}", "caterpillars", "compute",
+         lambda: caterpillar(len(legs), legs)),
+        (f"elect-wire-lollipop-k8t{tail}", "lollipops", "wire",
+         lambda: lollipop(8, tail)),
+    ]
+
+    def inputs(build: Callable) -> Dict[str, Any]:
         g = build()
-        bundle = compute_advice(g)  # raises if infeasible: bad spec
+        return {"g": g, "advice": compute_advice(g).bits}
 
-        def run_capture(make_factory):
-            """One full run capturing per-node wrappers for bits_sent."""
-            instances: List[Any] = []
+    def run(x: Dict[str, Any], make_factory: Callable) -> tuple:
+        instances: List[Any] = []
 
-            def factory():
-                a = make_factory()
-                instances.append(a)
-                return a
+        def factory():
+            instances.append(make_factory())
+            return instances[-1]
 
-            result = run_sync(g, factory, advice=bundle.bits)
-            if len(result.outputs) != g.n:
-                raise ReproError("strict scenario lost node outputs")
-            bits = [a.bits_sent for a in instances]
-            return result, bits
+        result = run_sync(x["g"], factory, advice=x["advice"])
+        return result, [a.bits_sent for a in instances]
 
-        # parity first: a fast number from a wrong byte stream is
-        # worthless, so refuse to time a path that diverges from the
-        # seed codec anywhere in the run
-        clear_view_caches()
-        plane = MessagePlane()
-        fast, fast_bits = run_capture(wire_wrapped(ElectAlgorithm, plane))
-        stats = plane.stats()
-        clear_view_caches()
-        seed, seed_bits = run_capture(seed_wire_wrapped(ElectAlgorithm))
-        if (
-            fast.outputs != seed.outputs
-            or fast.output_round != seed.output_round
-            or fast.rounds != seed.rounds
-            or fast.per_round_messages != seed.per_round_messages
-            or fast_bits != seed_bits
-        ):
-            raise ReproError(
-                f"strict scenario: cached and seed codecs disagree on "
-                f"{case_name} — refusing to time a broken path"
-            )
+    def fast(x: Dict[str, Any]) -> tuple:
+        x["plane"] = MessagePlane()
+        return run(x, wire_wrapped(ElectAlgorithm, x["plane"]))
 
-        def run() -> None:
-            result = run_sync(
-                g, wire_wrapped(ElectAlgorithm), advice=bundle.bits
-            )
-            if len(result.outputs) != g.n:
-                raise ReproError("strict scenario lost node outputs")
-
-        def run_seed() -> None:
-            result = run_sync(
-                g, seed_wire_wrapped(ElectAlgorithm), advice=bundle.bits
-            )
-            if len(result.outputs) != g.n:
-                raise ReproError("strict scenario lost node outputs")
-
-        seconds, reps, resources = _time_case(run, repeats, clear_caches=True)
-        seed_seconds, _, _ = _time_case(run_seed, repeats, clear_caches=True)
-        case: Case = {
-            "case": case_name,
-            "seconds": seconds,
-            "repeats": reps,
-            "n": g.n,
-            "family": family,
-            "bound": bound,
-            "seed_seconds": seed_seconds,
-            "speedup_vs_seed": (
-                seed_seconds / seconds if seconds > 0 else None
-            ),
-            **resources,
-        }
-        case.update(stats)
-        cases.append(case)
-    return cases
+    yield [
+        RatioCase(
+            case=name,
+            versus="seed",
+            build=lambda build=build: inputs(build),
+            subject=fast,
+            reference=lambda x: run(x, seed_wire_wrapped(ElectAlgorithm)),
+            info=lambda x, case, family=family, bound=bound: {
+                "n": x["g"].n,
+                "family": family,
+                "bound": bound,
+                **x["plane"].stats(),
+            },
+        )
+        for name, family, bound, build in specs
+    ]
 
 
-@register_scenario("elect-orbit")
-def _scenario_elect_orbit(quick: bool) -> List[Case]:
-    """The orbit-collapsed engine against the per-node engine on the
-    symmetric families where the collapse pays: each case runs the
-    uniform-advice depth-T view probe (the COM core every election
-    algorithm starts with) once per behavior class instead of once per
-    node.  ``seconds`` times the collapsed path end to end — partition
-    *plus* engine, nothing precomputed — and the per-node engine is
-    timed in-run on the identical workload; the ratio is emitted as
-    ``speedup_vs_pernode``, the number the CI gate reads (>= 3x on the
-    ``vertex-transitive`` cases).  The two runs are also compared for
-    equality first: a fast number from a wrong path is worthless."""
+def _elect_orbit(quick: bool) -> Iterator[List[RatioCase]]:
+    """The uniform-advice depth-T view probe (the COM core every election
+    algorithm starts with) once per behavior class against once per
+    node; the subject pays its partition too."""
     from repro.core.orbit_elect import behavior_classes, run_view_probe
-    from repro.graphs.generators import (
-        cycle_with_leader_gadget,
-        grid_torus,
-        hypercube,
-        lift,
-        ring,
-    )
-    from repro.views import clear_view_caches
+    from repro.graphs.generators import cycle_with_leader_gadget as gadget
+    from repro.graphs.generators import grid_torus, hypercube, lift, ring
 
-    if quick:
-        specs = [
-            ("probe-ring-n256", "vertex-transitive", lambda: ring(256), 8),
-            ("probe-torus-10x11", "vertex-transitive", lambda: grid_torus(10, 11), 8),
-            ("probe-hypercube-d6", "vertex-transitive", lambda: hypercube(6), 6),
-            (
-                "probe-lift-r12x3",
-                "lifts",
-                lambda: lift(cycle_with_leader_gadget(12), 3, seed=5),
-                8,
+    n, side, dim, r, depth = (256, 10, 6, 12, 8) if quick else (1024, 24, 8, 40, 10)
+    specs = [
+        (f"probe-ring-n{n}", "vertex-transitive", lambda: ring(n), depth),
+        (f"probe-torus-{side}x{side + 1}", "vertex-transitive",
+         lambda: grid_torus(side, side + 1), depth),
+        (f"probe-hypercube-d{dim}", "vertex-transitive",
+         lambda: hypercube(dim), dim),
+        (f"probe-lift-r{r}x3", "lifts",
+         lambda: lift(gadget(r), 3, seed=5), depth),
+    ]
+    yield [
+        RatioCase(
+            case=name,
+            versus="pernode",
+            build=build,
+            subject=lambda g, depth=depth: run_view_probe(g, depth),
+            reference=lambda g, depth=depth: run_view_probe(
+                g, depth, collapsed=False
             ),
-        ]
-        repeats = 2
-    else:
-        specs = [
-            ("probe-ring-n1024", "vertex-transitive", lambda: ring(1024), 10),
-            ("probe-torus-24x25", "vertex-transitive", lambda: grid_torus(24, 25), 10),
-            ("probe-hypercube-d8", "vertex-transitive", lambda: hypercube(8), 8),
-            (
-                "probe-lift-r40x3",
-                "lifts",
-                lambda: lift(cycle_with_leader_gadget(40), 3, seed=5),
-                10,
-            ),
-        ]
-        repeats = 3
-    cases: List[Case] = []
-    for case_name, family, build, depth in specs:
-        g = build()
-        part = behavior_classes(g)
-        clear_view_caches()
-        if run_view_probe(g, depth) != run_view_probe(g, depth, collapsed=False):
-            raise ReproError(
-                f"elect-orbit scenario: collapsed and per-node probes "
-                f"disagree on {case_name} — refusing to time a broken path"
-            )
-        seconds, reps, resources = _time_case(
-            lambda: run_view_probe(g, depth), repeats, clear_caches=True
-        )
-        pernode_seconds, _, _ = _time_case(
-            lambda: run_view_probe(g, depth, collapsed=False),
-            repeats,
-            clear_caches=True,
-        )
-        cases.append(
-            {
-                "case": case_name,
-                "seconds": seconds,
-                "repeats": reps,
+            info=lambda g, case, family=family, depth=depth: {
                 "n": g.n,
                 "family": family,
                 "depth": depth,
-                "orbits": part.num_orbits,
-                "pernode_seconds": pernode_seconds,
-                "speedup_vs_pernode": (
-                    pernode_seconds / seconds if seconds > 0 else None
-                ),
-                **resources,
-            }
+                "orbits": behavior_classes(g).num_orbits,
+            },
         )
-    return cases
+        for name, family, build, depth in specs
+    ]
 
 
-@register_scenario("conformance")
-def _scenario_conformance(quick: bool) -> List[Case]:
-    """Differential-oracle cells: every algorithm x sim model x schedule
-    on a small corpus prefix — the conformance engine's unit of work."""
-    from repro.conformance.oracle import ConformanceConfig, conformance_entry
-    from repro.corpus import get_family
+def _feasible(graphs: Iterator, count: int) -> List:
+    """The first ``count`` feasible graphs of a ``(name, graph)`` stream
+    (elect rejects infeasible graphs; tree families mix both)."""
+    from repro.views.refinement import stable_partition
 
-    per_family = 1 if quick else 3
-    repeats = 1 if quick else 2
-    config = ConformanceConfig(schedules=2, seed=0)
-    cases: List[Case] = []
-    for family in ("tori", "random-trees"):
-        entries = list(get_family(family).generate(per_family, seed=0))
-
-        def run(entries=entries) -> None:
-            for name, g in entries:
-                records = conformance_entry(name, g, config)
-                if not records:
-                    raise ReproError("conformance scenario produced no records")
-
-        seconds, reps, resources = _time_case(run, repeats, clear_caches=True)
-        cases.append(
-            {
-                "case": f"{family}-x{per_family}",
-                "seconds": seconds,
-                "repeats": reps,
-                "entries": per_family,
-                **resources,
-            }
-        )
-    return cases
+    feasible = (g for _name, g in graphs if stable_partition(g).discrete)
+    return list(islice(feasible, count))
 
 
-@register_scenario("service")
-def _scenario_service(quick: bool) -> List[Case]:
-    """The query service on a repeated-query mix: corpus-family graphs,
-    each queried several times under fresh node relabelings — the
-    workload the canonical-form cache exists for.  Cold runs disable the
-    cache (capacity 0: every query computes); warm runs pre-answer one
-    representative per isomorphism class and then serve the whole mix
-    from the cache.  Warm cases carry ``speedup_vs_cold`` against the
-    same mode's cold case — the number the acceptance gate reads."""
+def _fresh_payloads(graphs: Sequence) -> None:
+    """A real client ships a fresh payload per request: drop the derived
+    caches so every timed query pays its canonicalization."""
+    for g in graphs:
+        g._csr_cache = None
+        g._canon_cache = None
+
+
+def _answers(results: Sequence) -> List:
+    """Query results up to the ``cached`` flag, which is what differs
+    between a warm and a cold core."""
+    return [(r.fingerprint, r.to_canonical, r.record) for r in results]
+
+
+def _service(quick: bool) -> Iterator[List[RatioCase]]:
+    """A repeated-query mix — tree-family graphs under fresh node
+    relabelings — served from a warm cache against a cold core
+    (capacity 0: every query computes), one query at a time and as one
+    batch."""
     import random
 
     from repro.corpus import get_family
     from repro.graphs.canonical import relabel_nodes
     from repro.service.api import ServiceCore
     from repro.service.cache import ResultCache
-    from repro.views.refinement import stable_partition
 
-    if quick:
-        per_family, relabelings, repeats = 3, 3, 1
-        families = (
-            ("random-trees", dict(min_n=16, max_n=40)),
-            ("caterpillars", dict(min_spine=4, max_spine=8)),
-        )
-    else:
-        per_family, relabelings, repeats = 6, 5, 2
-        families = (
-            ("random-trees", dict(min_n=30, max_n=80)),
-            ("caterpillars", dict(min_spine=8, max_spine=16)),
-        )
-
-    # the mix: feasible graphs (elect is the paper's full pipeline and
-    # the service's heaviest task) from two tree-shaped families
+    per_family, relabelings, n, spine = (
+        (3, 3, (16, 40), (4, 8)) if quick else (6, 5, (30, 80), (8, 16))
+    )
+    families = (
+        ("random-trees", dict(min_n=n[0], max_n=n[1])),
+        ("caterpillars", dict(min_spine=spine[0], max_spine=spine[1])),
+    )
     bases = []
     for family, params in families:
-        taken = 0
-        for name, g in get_family(family).generate(
-            per_family * 4, seed=0, **params
-        ):
-            if stable_partition(g).discrete:
-                bases.append(g)
-                taken += 1
-                if taken == per_family:
-                    break
+        stream = get_family(family).generate(per_family * 4, seed=0, **params)
+        bases += _feasible(stream, per_family)
     rng = random.Random(7)
-    queries = []
-    for _ in range(relabelings):
+    queries = [
+        relabel_nodes(g, rng.sample(range(g.n), g.n))
+        for _ in range(relabelings)
+        for g in bases
+    ]
+
+    def run_single(core: ServiceCore) -> List:
+        _fresh_payloads(queries)
+        return [core.query("elect", g) for g in queries]
+
+    def run_batch(core: ServiceCore) -> List:
+        _fresh_payloads(queries)
+        return core.batch([("elect", g) for g in queries])
+
+    def cores() -> Dict[str, ServiceCore]:
+        warm = ServiceCore(ResultCache())
         for g in bases:
-            perm = list(range(g.n))
-            rng.shuffle(perm)
-            queries.append(relabel_nodes(g, perm))
+            warm.query("elect", g)
+        return {"warm": warm, "cold": ServiceCore(ResultCache(capacity=0))}
 
-    def fresh_payloads() -> None:
-        # a real client ships a fresh payload per request: drop the
-        # derived caches so every timed query pays its canonicalization
-        for g in queries:
-            g._csr_cache = None
-            g._canon_cache = None
-
-    def run_single(core: ServiceCore) -> None:
-        fresh_payloads()
-        for g in queries:
-            core.query("elect", g)
-
-    def run_batch(core: ServiceCore) -> None:
-        fresh_payloads()
-        core.batch([("elect", g) for g in queries])
-
-    def cold_core() -> ServiceCore:
-        return ServiceCore(ResultCache(capacity=0))
-
-    def warm_core() -> ServiceCore:
-        core = ServiceCore(ResultCache())
-        for g in bases:
-            core.query("elect", g)
-        return core
-
-    cases: List[Case] = []
-    cold_seconds: Dict[str, float] = {}
-    for mode, run in (("single", run_single), ("batch", run_batch)):
-        for temp, make_core in (("cold", cold_core), ("warm", warm_core)):
-            core = make_core()  # built once: cold never caches, warm is
-            # pre-populated, so repeats measure a steady state either way
-            seconds, reps, resources = _time_case(
-                lambda: run(core), repeats, clear_caches=True
-            )
-            case: Case = {
-                "case": f"{temp}-{mode}",
-                "seconds": seconds,
-                "repeats": reps,
-                "queries": len(queries),
-                **resources,
-            }
-            if temp == "cold":
-                cold_seconds[mode] = seconds
-            elif seconds > 0:
-                case["speedup_vs_cold"] = cold_seconds[mode] / seconds
-            cases.append(case)
-    return cases
+    yield [
+        RatioCase(
+            case=f"warm-{mode}",
+            versus="cold",
+            build=cores,
+            subject=lambda c, run=run: run(c["warm"]),
+            reference=lambda c, run=run: run(c["cold"]),
+            parity=_answers,
+            info=lambda c, case: {"queries": len(queries)},
+        )
+        for mode, run in (("single", run_single), ("batch", run_batch))
+    ]
 
 
-@register_scenario("service-load")
-def _scenario_service_load(quick: bool) -> List[Case]:
-    """The service under concurrent clients: distinct feasible graphs,
-    each queried once, driven by 1/8/64 client threads against the
-    in-process core (every cold compute serialized on the compute lock)
-    and the fingerprint-sharded core (one worker process per shard).
-    Cold cases measure compute throughput, warm cases the lookup path.
-    Each case carries wall-clock ``seconds``, ``qps`` and per-query
-    ``p50_ms``/``p99_ms``; sharded cold cases carry
-    ``speedup_vs_inproc`` against the in-process case at the same
-    concurrency — the number the CI gate reads (the sharded speedup only
-    materializes on a multi-core box; a 1-CPU container measures ~1x).
-
-    Before any timing, both compute modes answer the full query set
-    sequentially and the response payloads are compared byte for byte —
-    the harness refuses to time a broken path."""
-    import threading
+def _service_load(quick: bool) -> Iterator[List[RatioCase]]:
+    """Distinct feasible graphs, each queried once by 1/8/64 client
+    threads, through the fingerprint-sharded core against the in-process
+    core; cold cases measure compute throughput (sharding only pays on a
+    multi-core box), warm ones the lookup path.  Cases carry ``qps`` and
+    the sharded path's per-query ``p50_ms``/``p99_ms``."""
+    from concurrent.futures import ThreadPoolExecutor
 
     from repro.corpus import get_family
     from repro.engine.engine import available_parallelism
     from repro.service.api import ServiceCore
     from repro.service.cache import ResultCache
-    from repro.views.refinement import stable_partition
 
     if quick:
-        num_graphs, repeats = 16, 1
-        concurrencies: Tuple[int, ...] = (1, 8)
+        num_graphs, concurrencies = 12, (1, 8)
         params = dict(min_n=14, max_n=28)
     else:
-        num_graphs, repeats = 64, 2
-        concurrencies = (1, 8, 64)
+        num_graphs, concurrencies = 64, (1, 8, 64)
         params = dict(min_n=30, max_n=60)
     shards = max(2, min(4, available_parallelism()))
+    stream = get_family("random-trees").generate(num_graphs * 4, seed=11, **params)
+    graphs = _feasible(stream, num_graphs)
 
-    graphs = []
-    for _name, g in get_family("random-trees").generate(
-        num_graphs * 4, seed=11, **params
-    ):
-        if stable_partition(g).discrete:  # feasible: elect completes
-            graphs.append(g)
-            if len(graphs) == num_graphs:
-                break
+    def run_clients(x: Dict[str, Any], mode: str) -> List:
+        """One sweep: every graph queried once by ``clients`` closed-loop
+        client threads; the results in graph order.  A sharded sweep also
+        keeps its per-query latencies."""
+        _fresh_payloads(graphs)
 
-    def fresh_payloads() -> None:
-        # a real client ships a fresh payload per request: drop the
-        # derived caches so every timed query pays its canonicalization
-        for g in graphs:
-            g._csr_cache = None
-            g._canon_cache = None
+        def query(g) -> tuple:
+            q0 = time.perf_counter()
+            result = x[mode].query("elect", g)
+            return result, time.perf_counter() - q0
 
-    def run_clients(core: ServiceCore, clients: int) -> Tuple[float, List[float]]:
-        """One sweep: every graph queried once, the work pre-partitioned
-        round-robin across ``clients`` threads (a shared-iterator pop is
-        not thread-safe; the partition is deterministic and balanced).
-        Returns (wall seconds, per-query latencies)."""
-        latencies = [0.0] * len(graphs)
-        failures: List[BaseException] = []
+        with ThreadPoolExecutor(x["clients"]) as pool:
+            results, latencies = zip(*pool.map(query, graphs))
+        if mode == "shard":
+            x["sweeps"].append(latencies)
+        return list(results)
 
-        def client(start: int) -> None:
-            try:
-                for i in range(start, len(graphs), clients):
-                    q0 = time.perf_counter()
-                    core.query("elect", graphs[i])
-                    latencies[i] = time.perf_counter() - q0
-            except ReproError as exc:  # pragma: no cover - fails the case
-                failures.append(exc)
+    def info(x: Dict[str, Any], case: Case) -> Dict[str, Any]:
+        # the first sweep is the untimed parity run
+        latencies = [t for sweep in x["sweeps"][1:] for t in sweep]
+        cuts = statistics.quantiles(latencies, n=100, method="inclusive")
+        return {
+            "clients": x["clients"],
+            "queries": len(graphs),
+            "shards": shards,
+            "qps": len(graphs) / case["seconds"],
+            "p50_ms": 1000.0 * cuts[49],
+            "p99_ms": 1000.0 * cuts[98],
+        }
 
-        threads = [
-            threading.Thread(target=client, args=(i,), daemon=True)
-            for i in range(clients)
-        ]
-        t0 = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        wall = time.perf_counter() - t0
-        if failures:  # pragma: no cover - deterministic feasible corpus
-            raise failures[0]
-        return wall, latencies
-
-    def percentile_ms(latencies: List[float], q: float) -> float:
-        ordered = sorted(latencies)
-        index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-        return 1000.0 * ordered[index]
-
-    def payload_bytes(core: ServiceCore) -> List[str]:
-        fresh_payloads()
-        return [
-            json.dumps(core.query("elect", g).payload(), sort_keys=True)
-            for g in graphs
-        ]
-
-    inproc_cold = ServiceCore(ResultCache(capacity=0))
-    shard_cold = ServiceCore(ResultCache(capacity=0), shards=shards)
-    cores = [inproc_cold, shard_cold]
+    cores: Dict[tuple, ServiceCore] = {}
     try:
-        # refuse to time a broken path: the sharded answers must be
-        # byte-identical to the in-process ones before any clock starts
-        if payload_bytes(inproc_cold) != payload_bytes(shard_cold):
-            raise ReproError(
-                "service-load: sharded responses are not byte-identical "
-                "to the in-process path; refusing to time a broken path"
-            )
-
-        def warm_core(n_shards: int) -> ServiceCore:
-            core = ServiceCore(ResultCache(), shards=n_shards)
-            cores.append(core)
+        for mode, n_shards in (("inproc", 0), ("shard", shards)):
+            cores["cold", mode] = ServiceCore(ResultCache(capacity=0), shards=n_shards)
+            cores["warm", mode] = warm = ServiceCore(ResultCache(), shards=n_shards)
             for g in graphs:
-                core.query("elect", g)
-            return core
-
-        modes = (
-            ("inproc", 0, inproc_cold, warm_core(0)),
-            ("shard", shards, shard_cold, warm_core(shards)),
-        )
-        cases: List[Case] = []
-        inproc_seconds: Dict[Tuple[str, int], float] = {}
-        for temp_index, temp in enumerate(("cold", "warm")):
-            for mode, n_shards, cold, warm in modes:
-                core = (cold, warm)[temp_index]
-                for clients in concurrencies:
-                    gc_collections0, gc_collected0 = _gc_totals()
-                    best: Optional[Tuple[float, List[float]]] = None
-                    for _ in range(repeats):
-                        fresh_payloads()
-                        result = run_clients(core, clients)
-                        if best is None or result[0] < best[0]:
-                            best = result
-                    assert best is not None
-                    gc_collections1, gc_collected1 = _gc_totals()
-                    wall, latencies = best
-                    case: Case = {
-                        "case": f"{temp}-{mode}-c{clients}",
-                        "seconds": wall,
-                        "repeats": repeats,
-                        "clients": clients,
-                        "queries": len(graphs),
-                        "shards": n_shards,
-                        "qps": len(graphs) / wall if wall > 0 else 0.0,
-                        "p50_ms": percentile_ms(latencies, 0.50),
-                        "p99_ms": percentile_ms(latencies, 0.99),
-                        "peak_rss_kb": _peak_rss_kb(),
-                        "gc_collections": gc_collections1 - gc_collections0,
-                        "gc_collected": gc_collected1 - gc_collected0,
-                    }
-                    if mode == "inproc":
-                        inproc_seconds[(temp, clients)] = wall
-                    elif wall > 0:
-                        case["speedup_vs_inproc"] = (
-                            inproc_seconds[(temp, clients)] / wall
-                        )
-                    cases.append(case)
-        return cases
+                warm.query("elect", g)
+        yield [
+            RatioCase(
+                case=f"{temp}-shard-c{clients}",
+                versus="inproc",
+                build=lambda temp=temp, clients=clients: {
+                    "shard": cores[temp, "shard"],
+                    "inproc": cores[temp, "inproc"],
+                    "clients": clients,
+                    "sweeps": [],
+                },
+                subject=lambda x: run_clients(x, "shard"),
+                reference=lambda x: run_clients(x, "inproc"),
+                parity=_answers,
+                info=info,
+            )
+            for temp in ("cold", "warm")
+            for clients in concurrencies
+        ]
     finally:
-        for core in cores:
+        for core in cores.values():
             core.close()
 
 
-@register_scenario("warehouse")
-def _scenario_warehouse(quick: bool) -> List[Case]:
-    """Service warm-up from past sweep output: the legacy corpus
-    re-stream (``warm_from_stores`` regenerates every graph and
-    recomputes its canonical certificate) against the warehouse join
-    (``warm_from_warehouse``: one indexed query over the content
-    addresses a warehouse-backed sweep stored as it ran).  The sweep
-    itself is untimed setup; both paths are checked to produce an
-    identical cache before either is timed, and the join case carries
-    ``speedup_vs_restream`` — the number the acceptance gate reads."""
+def _warehouse(quick: bool) -> Iterator[List[RatioCase]]:
+    """Service warm-up from an (untimed) sweep's output: one indexed join
+    against the results warehouse, with the corpus re-stream (which
+    regenerates every graph and recomputes its certificate) as the
+    reference.  Parity compares the two warmed caches."""
     import shutil
     import tempfile
 
     from repro.analysis.sweep import sweep_to_store
     from repro.corpus import get_family
     from repro.engine import open_result_store
-    from repro.service.cache import (
-        ResultCache,
-        warm_from_stores,
-        warm_from_warehouse,
-    )
+    from repro.service.cache import ResultCache, warm_from_stores, warm_from_warehouse
     from repro.warehouse import Warehouse, export_dataset
 
     count = 150 if quick else 1000
-    repeats = 2 if quick else 3
-    params = dict(min_n=10, max_n=24)
 
     def corpus():
-        return get_family("random-trees").generate(count, seed=0, **params)
+        return get_family("random-trees").generate(
+            count, seed=0, min_n=10, max_n=24
+        )
+
+    def warm(how: str, warmer: Callable[[ResultCache], int]) -> Dict:
+        cache = ResultCache(capacity=count)
+        warmed = warmer(cache)
+        if warmed != count:
+            raise ReproError(f"warehouse scenario: {how} warmed {warmed}/{count}")
+        return cache._entries
 
     tmp = tempfile.mkdtemp(prefix="repro-bench-warehouse-")
     try:
@@ -801,122 +399,61 @@ def _scenario_warehouse(quick: bool) -> List[Case]:
             sweep_to_store(corpus(), "index", store)
         with Warehouse(wh_path) as wh:
             export_dataset(wh, "sweep", store_path)
-
-        def restream() -> ResultCache:
-            cache = ResultCache(capacity=count)
-            warmed, _skipped = warm_from_stores(
-                cache, [store_path], corpus()
-            )
-            if warmed != count:
-                raise ReproError(
-                    f"warehouse scenario: re-stream warmed {warmed}/{count}"
-                )
-            return cache
-
-        def join() -> ResultCache:
-            cache = ResultCache(capacity=count)
-            warmed = warm_from_warehouse(cache, wh_path)
-            if warmed != count:
-                raise ReproError(
-                    f"warehouse scenario: join warmed {warmed}/{count}"
-                )
-            return cache
-
-        # a fast number from a wrong path is worthless: both warmers
-        # must fill an identical cache before either is timed
-        if restream()._entries != join()._entries:
-            raise ReproError(
-                "warehouse scenario: join-warmed cache differs from "
-                "re-stream-warmed cache — refusing to time a broken path"
-            )
-
-        restream_seconds, reps, restream_res = _time_case(restream, repeats)
-        join_seconds, _, join_res = _time_case(join, repeats)
-        return [
-            {
-                "case": f"warm-restream-n{count}",
-                "seconds": restream_seconds,
-                "repeats": reps,
-                "entries": count,
-                **restream_res,
-            },
-            {
-                "case": f"warm-warehouse-n{count}",
-                "seconds": join_seconds,
-                "repeats": reps,
-                "entries": count,
-                "restream_seconds": restream_seconds,
-                "speedup_vs_restream": (
-                    restream_seconds / join_seconds
-                    if join_seconds > 0
-                    else None
+        yield [
+            RatioCase(
+                case=f"warm-warehouse-n{count}",
+                versus="restream",
+                build=lambda: (store_path, wh_path),
+                subject=lambda paths: warm(
+                    "join", lambda cache: warm_from_warehouse(cache, paths[1])
                 ),
-                **join_res,
-            },
+                reference=lambda paths: warm(
+                    "re-stream",
+                    lambda cache: warm_from_stores(
+                        cache, [paths[0]], corpus()
+                    )[0],
+                ),
+                info=lambda paths, case: {"entries": count},
+            )
         ]
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-# ----------------------------------------------------------------------
-# records, baselines, validation
-# ----------------------------------------------------------------------
+SCENARIOS = {
+    name: contextmanager(fn)
+    for name, fn in (
+        ("strict", _strict),
+        ("elect-orbit", _elect_orbit),
+        ("service", _service),
+        ("service-load", _service_load),
+        ("warehouse", _warehouse),
+    )
+}
+
+
 def make_bench_record(
-    scenario: str,
-    cases: List[Case],
-    quick: bool,
-    baseline: Optional[Dict[str, Any]] = None,
-    baseline_path: Optional[str] = None,
+    scenario: str, cases: List[Case], quick: bool, kind: str = "timing"
 ) -> Dict[str, Any]:
-    """Assemble the canonical ``BENCH_<scenario>.json`` record, attaching
-    per-case speedups when the baseline covers (mode, scenario, case)."""
-    mode = "quick" if quick else "full"
-    base_cases: Dict[str, float] = {}
-    if baseline is not None:
-        base_cases = baseline.get("modes", {}).get(mode, {}).get(scenario, {})
-    out_cases: List[Case] = []
-    for case in cases:
-        case = dict(case)
-        base = base_cases.get(case["case"])
-        case["baseline_seconds"] = base
-        case["speedup"] = (
-            base / case["seconds"]
-            if base is not None and case["seconds"] > 0
-            else None
-        )
-        out_cases.append(case)
+    """The canonical ``BENCH_<scenario>.json`` record: measured cases, or
+    (``kind="table"``) the twin of a prose bench, whose one case carries
+    ``{"case", "title", "text"}``."""
+    from repro.warehouse.db import env_fingerprint
+
     return {
         "schema": BENCH_SCHEMA,
-        "kind": "timing",
+        "kind": kind,
         "scenario": scenario,
         "quick": quick,
         "env": env_fingerprint(),
-        "baseline": (
-            {"path": baseline_path, "env": baseline.get("env")}
-            if baseline is not None
-            else None
-        ),
-        "cases": out_cases,
-    }
-
-
-def make_table_record(scenario: str, title: str, body: str) -> Dict[str, Any]:
-    """The ``kind="table"`` twin for historical prose benches: same schema
-    envelope, one case carrying the table text."""
-    return {
-        "schema": BENCH_SCHEMA,
-        "kind": "table",
-        "scenario": scenario,
-        "quick": False,
-        "env": env_fingerprint(),
-        "baseline": None,
-        "cases": [{"case": scenario, "title": title, "text": body}],
+        "cases": cases,
     }
 
 
 def validate_bench_record(record: Any) -> None:
     """Raise :class:`ReproError` unless ``record`` is a well-formed
-    ``repro-bench/1`` record (the CI schema gate)."""
+    ``repro-bench/2`` record (the CI schema gate) — specifically
+    :class:`BenchSchemaError` when it carries another schema."""
 
     def fail(msg: str) -> None:
         raise ReproError(f"malformed bench record: {msg}")
@@ -924,7 +461,11 @@ def validate_bench_record(record: Any) -> None:
     if not isinstance(record, dict):
         fail(f"expected an object, got {type(record).__name__}")
     if record.get("schema") != BENCH_SCHEMA:
-        fail(f"schema must be '{BENCH_SCHEMA}', got {record.get('schema')!r}")
+        raise BenchSchemaError(
+            f"bench record schema is {record.get('schema')!r}; this build "
+            f"reads only '{BENCH_SCHEMA}' (a 'repro-bench/1' record divides "
+            f"by another machine's baseline: re-run `repro bench`)"
+        )
     kind = record.get("kind")
     if kind not in ("timing", "table"):
         fail(f"kind must be 'timing' or 'table', got {kind!r}")
@@ -936,159 +477,34 @@ def validate_bench_record(record: Any) -> None:
     env = record.get("env")
     if not isinstance(env, dict) or not env.get("python") or not env.get("platform"):
         fail("env must carry at least python and platform")
-    baseline = record.get("baseline")
-    if baseline is not None and not isinstance(baseline, dict):
-        fail("baseline must be null or an object")
     cases = record.get("cases")
     if not isinstance(cases, list) or not cases:
         fail("cases must be a non-empty list")
     for i, case in enumerate(cases):
         if not isinstance(case, dict) or not isinstance(case.get("case"), str):
             fail(f"cases[{i}] must be an object with a string 'case'")
-        if kind == "timing":
-            seconds = case.get("seconds")
-            if not isinstance(seconds, (int, float)) or seconds < 0:
-                fail(f"cases[{i}].seconds must be a non-negative number")
-            repeats = case.get("repeats")
-            if not isinstance(repeats, int) or repeats < 1:
-                fail(f"cases[{i}].repeats must be a positive integer")
-            for key in ("baseline_seconds", "speedup"):
-                value = case.get(key)
-                if value is not None and not isinstance(value, (int, float)):
-                    fail(f"cases[{i}].{key} must be null or a number")
-        else:
+        if kind == "table":
             if not isinstance(case.get("text"), str):
                 fail(f"cases[{i}].text must be a string (kind=table)")
-
-
-def bench_table(record: Dict[str, Any]) -> Tuple[List[str], List[Tuple]]:
-    """``(columns, rows)`` for :func:`repro.analysis.format_table`."""
-    columns = ["case", "seconds", "baseline_s", "speedup"]
-    rows = []
-    for case in record["cases"]:
-        if record["kind"] == "table":
-            rows.append((case["case"], "-", "-", "-"))
             continue
-        base = case.get("baseline_seconds")
-        speedup = case.get("speedup")
-        rows.append(
-            (
-                case["case"],
-                f"{case['seconds']:.4f}",
-                f"{base:.4f}" if base is not None else "-",
-                f"{speedup:.2f}x" if speedup is not None else "-",
-            )
-        )
-    return columns, rows
+        if not isinstance(case.get("repeats"), int) or case["repeats"] < K:
+            fail(f"cases[{i}].repeats must be an integer >= {K}")
+        if not isinstance(case.get("inconclusive"), bool):
+            fail(f"cases[{i}].inconclusive must be a boolean")
+        ratios = [key for key in case if key.startswith("speedup_vs_")]
+        if len(ratios) != 1:
+            fail(f"cases[{i}] must carry exactly one speedup_vs_* ratio")
+        versus = ratios[0][len("speedup_vs_"):]
+        for key in ("seconds", "seconds_iqr", f"{versus}_seconds",
+                    f"{versus}_seconds_iqr", ratios[0]):
+            if not isinstance(case.get(key), (int, float)) or case[key] < 0:
+                fail(f"cases[{i}].{key} must be a non-negative number")
 
 
-# ----------------------------------------------------------------------
-# file I/O
-# ----------------------------------------------------------------------
 def write_json(path: str, payload: Dict[str, Any]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def load_baseline(path: str) -> Dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fh:
-        baseline = json.load(fh)
-    if baseline.get("schema") != BASELINE_SCHEMA:
-        raise ReproError(
-            f"{path}: schema must be '{BASELINE_SCHEMA}', "
-            f"got {baseline.get('schema')!r}"
-        )
-    return baseline
-
-
-def update_baseline(
-    path: str, mode: str, results: Dict[str, List[Case]]
-) -> Dict[str, Any]:
-    """Merge freshly measured scenario timings into the baseline file
-    (creating it if absent); only the given mode is touched.
-
-    A baseline's timings are only comparable within one environment, so
-    merging into a file recorded on a different environment is refused —
-    re-record every mode into a fresh file instead."""
-    current_env = env_fingerprint()
-    if os.path.exists(path):
-        baseline = load_baseline(path)
-        recorded_env = baseline.get("env")
-        if recorded_env and recorded_env != current_env:
-            raise ReproError(
-                f"{path}: existing baseline was recorded on a different "
-                f"environment ({recorded_env}); partial re-recording would "
-                "mislabel its timings — record all modes into a fresh file"
-            )
-    else:
-        baseline = {"schema": BASELINE_SCHEMA, "modes": {}}
-    per_mode = baseline.setdefault("modes", {}).setdefault(mode, {})
-    for scenario, cases in results.items():
-        per_mode[scenario] = {c["case"]: c["seconds"] for c in cases}
-    baseline["env"] = current_env
-    write_json(path, baseline)
-    return baseline
-
-
-def _check_known_scenarios(scenarios: List[str]) -> None:
-    unknown = [s for s in scenarios if s not in SCENARIOS]
-    if unknown:
-        raise ReproError(
-            f"unknown scenario(s) {', '.join(unknown)}; "
-            f"available: {', '.join(sorted(SCENARIOS))}"
-        )
-
-
-def run_bench(
-    scenarios: List[str],
-    quick: bool,
-    out_dir: str,
-    baseline_path: Optional[str],
-    progress: Callable[[str], None] = lambda _msg: None,
-    warehouse_path: Optional[str] = None,
-    label: Optional[str] = None,
-) -> List[str]:
-    """Run the named scenarios, write one validated ``BENCH_*.json`` per
-    scenario under ``out_dir``, and return the written paths.
-
-    With ``warehouse_path``, the records are additionally stored in the
-    results warehouse under one ``bench`` provenance run (labeled
-    ``label``) — the rows ``repro report --trend`` renders as a
-    cross-run perf trajectory.  The BENCH files stay the wire format:
-    ``repro warehouse export --bench`` writes them back byte-identical.
-    """
-    _check_known_scenarios(scenarios)
-    baseline = None
-    if baseline_path and os.path.exists(baseline_path):
-        baseline = load_baseline(baseline_path)
-    os.makedirs(out_dir, exist_ok=True)
-    written: List[str] = []
-    records: List[Dict[str, Any]] = []
-    for scenario in scenarios:
-        progress(f"scenario {scenario} ({'quick' if quick else 'full'}) ...")
-        cases = SCENARIOS[scenario](quick)
-        record = make_bench_record(
-            scenario, cases, quick, baseline=baseline, baseline_path=baseline_path
-        )
-        validate_bench_record(record)
-        path = os.path.join(out_dir, f"BENCH_{scenario}.json")
-        write_json(path, record)
-        written.append(path)
-        records.append(record)
-    if warehouse_path is not None:
-        from repro.warehouse import Warehouse
-
-        with Warehouse(warehouse_path) as wh:
-            run_id = wh.begin_run("bench", label)
-            for record in records:
-                wh.append_bench(record, run_id)
-            wh.finish_run(run_id)
-        progress(
-            f"{len(records)} record(s) stored in {warehouse_path} "
-            f"(run {run_id})"
-        )
-    return written
 
 
 def check_bench_dir(out_dir: str) -> List[str]:
@@ -1106,68 +522,65 @@ def check_bench_dir(out_dir: str) -> List[str]:
     for path in paths:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                record = json.load(fh)
+                validate_bench_record(json.load(fh))
         except json.JSONDecodeError as exc:
             raise ReproError(f"{path}: not valid JSON ({exc})") from None
-        try:
-            validate_bench_record(record)
         except ReproError as exc:
-            raise ReproError(f"{path}: {exc}") from None
+            raise type(exc)(f"{path}: {exc}") from None
     return paths
 
 
 def run_from_args(args) -> int:
     """Execute a parsed ``repro bench`` invocation (flags defined on the
-    CLI subparser in :mod:`repro.cli`)."""
+    CLI subparser in :mod:`repro.cli`): run the named scenarios and write
+    one validated ``BENCH_<scenario>.json`` each under ``--out-dir``.
+
+    With ``--warehouse``, the records are also stored in the results
+    warehouse under one ``bench`` provenance run labeled ``--label`` —
+    the rows ``repro report --trend`` renders as a cross-run table.  The
+    BENCH files stay the wire format: ``repro warehouse export --bench``
+    writes them back byte-identical."""
     if args.check is not None:
         paths = check_bench_dir(args.check)
         print(f"{len(paths)} bench record(s) valid under {args.check}")
         return 0
-
     names = (
         [s.strip() for s in args.scenario.split(",") if s.strip()]
         if args.scenario
         else sorted(SCENARIOS)
     )
-    if args.record_baseline is not None:
-        _check_known_scenarios(names)
-        mode = "quick" if args.quick else "full"
-        results = {}
-        for scenario in names:
-            print(f"baseline: scenario {scenario} ({mode}) ...", flush=True)
-            results[scenario] = SCENARIOS[scenario](args.quick)
-        update_baseline(args.record_baseline, mode, results)
-        print(f"baseline ({mode}) written to {args.record_baseline}")
-        return 0
+    unknown = [s for s in names if s not in SCENARIOS]
+    if unknown:
+        raise ReproError(
+            f"unknown scenario(s) {', '.join(unknown)}; "
+            f"available: {', '.join(sorted(SCENARIOS))}"
+        )
+    os.makedirs(args.out_dir, exist_ok=True)
+    records = []
+    for scenario in names:
+        print(f"scenario {scenario} ({'quick' if args.quick else 'full'}) ...")
+        cases = []
+        with SCENARIOS[scenario](args.quick) as table:
+            for row in table:
+                cases.append(measure(row))
+                print(
+                    f"  {row.case}: {cases[-1]['seconds']:.4f}s, "
+                    f"{cases[-1][f'speedup_vs_{row.versus}']:.2f}x "
+                    f"{row.versus}"
+                    + (" (inconclusive)" if cases[-1]["inconclusive"] else ""),
+                    flush=True,
+                )
+        records.append(make_bench_record(scenario, cases, args.quick))
+        validate_bench_record(records[-1])
+        write_json(os.path.join(args.out_dir, f"BENCH_{scenario}.json"), records[-1])
+    if args.warehouse is not None:
+        from repro.warehouse import Warehouse
 
-    from repro.analysis.tables import format_table
-
-    written = run_bench(
-        names,
-        args.quick,
-        args.out_dir,
-        args.baseline,
-        progress=lambda msg: print(msg, flush=True),
-        warehouse_path=getattr(args, "warehouse", None),
-        label=getattr(args, "label", None),
-    )
-    for path in written:
-        with open(path, "r", encoding="utf-8") as fh:
-            record = json.load(fh)
-        columns, rows = bench_table(record)
-        print(f"\n== {record['scenario']} ==")
-        print(format_table(columns, rows))
-    print(f"\n{len(written)} record(s) written to {args.out_dir}")
+        with Warehouse(args.warehouse) as wh:
+            run_id = wh.begin_run("bench", args.label)
+            for record in records:
+                wh.append_bench(record, run_id)
+            wh.finish_run(run_id)
+        print(f"{len(records)} record(s) stored in {args.warehouse} (run {run_id})")
+    print(f"{len(records)} record(s) written to {args.out_dir}")
     return 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """The ``benchmarks/harness.py`` standalone entry point: exactly the
-    ``repro bench`` subcommand (one flag definition, in the CLI)."""
-    from repro.cli import main as cli_main
-
-    return cli_main(["bench"] + list(sys.argv[1:] if argv is None else argv))
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via harness.py
-    sys.exit(main())

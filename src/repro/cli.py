@@ -28,10 +28,13 @@ Commands
     Inspect the corpus-family registry / stream a family's graphs as
     JSON lines.
 ``bench [--quick] [--scenario S,T] [--out-dir DIR] [--check DIR]``
-    The machine-readable perf harness: run named scenarios (refinement,
-    sweep, strict, conformance) and emit canonical ``BENCH_<scenario>.json``
-    records with speedups against the recorded seed baseline; ``--check``
-    validates existing records (the CI schema gate).
+    The same-run ratio cases the CI gates read (strict codec vs seed,
+    orbit vs per-node, warm vs cold cache, sharded vs in-process,
+    warehouse join vs re-stream): each times a fast path against its
+    reference on the identical workload, median and IQR over alternated
+    runs, and emits a ``BENCH_<scenario>.json`` record; ``--check``
+    validates existing records (the CI schema gate).  The benchmark of
+    record is ``perfbench/``.
 ``report [--out FILE] [--trend DB]``
     Regenerate the small-scale experiment report (markdown), or render
     the cross-run perf trajectory from a results warehouse.
@@ -998,7 +1001,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="run perf scenarios, emit machine-readable BENCH_*.json records",
+        help="time fast paths against their references in-run, emit "
+        "BENCH_*.json records",
     )
     # flags stay stdlib-only here so building the parser never imports the
     # analysis/engine tree; _cmd_bench defers that to execution time
@@ -1013,14 +1017,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--out-dir", default="benchmarks/out",
         help="directory for BENCH_<scenario>.json records",
-    )
-    p.add_argument(
-        "--baseline", default="benchmarks/baseline_seed.json",
-        help="baseline timings file for speedup computation (skipped if absent)",
-    )
-    p.add_argument(
-        "--record-baseline", default=None, metavar="FILE",
-        help="measure and write/update the baseline file instead of records",
     )
     p.add_argument(
         "--check", default=None, metavar="DIR",

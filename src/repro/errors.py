@@ -58,6 +58,12 @@ class StoreError(EngineError):
     truncated-tail case (see :mod:`repro.engine.store`)."""
 
 
+class BenchSchemaError(ReproError):
+    """A bench record carries a schema this build does not read (e.g. a
+    ``repro-bench/1`` record, whose speedups divide by another machine's
+    baseline, after the bump to in-run ratios)."""
+
+
 class ServiceError(ReproError):
     """The query service rejected a request (unknown task, malformed
     graph payload or batch envelope) or its cache file is corrupt beyond

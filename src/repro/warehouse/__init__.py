@@ -51,7 +51,6 @@ from repro.warehouse.io import (
 )
 from repro.warehouse.store import WarehouseStore
 from repro.warehouse.trend import (
-    memory_trend,
     render_trend,
     telemetry_trend,
     trend_table,
@@ -67,7 +66,6 @@ __all__ = [
     "export_dataset",
     "import_file",
     "is_warehouse_path",
-    "memory_trend",
     "register_corpus_graphs",
     "render_trend",
     "telemetry_trend",

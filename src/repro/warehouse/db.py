@@ -16,7 +16,7 @@ Schema (``repro-warehouse/1``)
         One row per record line.  ``dataset`` names the logical store
         (one JSONL file maps to one dataset), ``kind`` is the row shape
         (``result`` = engine record, ``cache`` = service cache envelope,
-        ``bench`` = a ``repro-bench/1`` record), ``record_json`` is the
+        ``bench`` = a ``repro-bench/*`` record), ``record_json`` is the
         canonical JSON text.  Content addressing: rows carrying a
         ``fingerprint`` (service cache entries) are unique per
         ``(fingerprint, task, dataset)`` and indexed for O(log n)
@@ -30,11 +30,11 @@ Schema (``repro-warehouse/1``)
         hand.  This is what turns service warming from a corpus
         re-stream into a key-indexed join query.
     ``runs``
-        Provenance: schema version, environment fingerprint (the bench
-        harness's :func:`~repro.analysis.bench.env_fingerprint`), and
-        UTC timestamps per import / sweep / bench invocation.  Bench
-        rows reference their run, which is what makes ``repro report
-        --trend`` a table instead of archaeology.
+        Provenance: schema version, environment fingerprint
+        (:func:`env_fingerprint`), and UTC timestamps per import /
+        sweep / bench invocation.  Bench rows reference their run,
+        which is what makes ``repro report --trend`` a table instead
+        of archaeology.
     ``meta``
         The warehouse schema version, checked on open.
 
@@ -58,6 +58,7 @@ from __future__ import annotations
 import datetime
 import json
 import os
+import platform
 import sqlite3
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -133,6 +134,17 @@ def is_warehouse_path(path: Optional[str]) -> bool:
     return os.path.splitext(path)[1].lower() in WAREHOUSE_EXTENSIONS
 
 
+def env_fingerprint() -> Dict[str, Any]:
+    """Where a run was measured: enough to judge comparability."""
+    return {
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def _utcnow() -> str:
     return (
         datetime.datetime.now(datetime.timezone.utc)
@@ -189,8 +201,6 @@ class Warehouse:
     # ------------------------------------------------------------------
     def begin_run(self, kind: str, label: Optional[str] = None) -> int:
         """Open a provenance row; returns its id for record attribution."""
-        from repro.analysis.bench import env_fingerprint
-
         cursor = self._conn.execute(
             "INSERT INTO runs(kind, label, schema_version, env_json, "
             "started_at) VALUES (?, ?, ?, ?, ?)",
@@ -452,7 +462,7 @@ class Warehouse:
         run_id: int,
         dataset: str = "bench",
     ) -> None:
-        """Store one ``repro-bench/1`` record under its run."""
+        """Store one bench record under its run."""
         self._conn.execute("BEGIN IMMEDIATE")
         try:
             self._conn.execute(

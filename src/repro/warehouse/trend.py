@@ -5,7 +5,9 @@ Every ``repro bench --warehouse DB`` invocation (and every imported
 environment fingerprint and a timestamp.  ``trend_table`` pivots those
 rows into the table ``repro report --trend`` / ``repro warehouse trend``
 print: one row per ``(scenario, case)``, one column per run, each cell
-the measured seconds — so "did PR N make the strict path faster" is a
+the measured seconds — the subject's median in ``repro-bench/2``
+records, the minimum over repeats in ``repro-bench/1`` rows stored
+before that schema — so "did PR N make the strict path faster" is a
 column scan, not archaeology across artifact tarballs.
 
 Runs of different modes (quick vs full) measure different workloads, so
@@ -83,32 +85,6 @@ def trend_table(wh: Warehouse) -> Tuple[List[str], List[Tuple]]:
     return columns, rows
 
 
-def memory_trend(
-    wh: Warehouse,
-) -> Tuple[List[Dict[str, Any]], Dict[Tuple[str, str], Dict[int, int]]]:
-    """``(runs, cells)`` of the per-case peak-RSS section: the runs whose
-    bench cases carry ``peak_rss_kb`` (``repro bench`` records it since
-    the obs PR), and ``(scenario, case) -> {run_id: peak_rss_kb}``.
-    Empty for warehouses holding only pre-obs records."""
-    runs_by_id = {run["id"]: run for run in wh.runs()}
-    seen_runs: List[Dict[str, Any]] = []
-    cells: Dict[Tuple[str, str], Dict[int, int]] = {}
-    for run_id, scenario, record in wh.bench_rows():
-        if record.get("kind") != "timing":
-            continue
-        run = runs_by_id.get(run_id)
-        if run is None:  # pragma: no cover - references are enforced
-            continue
-        for case in record.get("cases", []):
-            rss = case.get("peak_rss_kb")
-            if not isinstance(rss, int):
-                continue
-            if not any(r["id"] == run_id for r in seen_runs):
-                seen_runs.append(run)
-            cells.setdefault((scenario, case["case"]), {})[run_id] = rss
-    return seen_runs, cells
-
-
 def _bucket_quantile(
     buckets: List[float], bucket_counts: List[int], q: float
 ) -> Optional[float]:
@@ -170,9 +146,9 @@ def telemetry_trend(
 def render_trend(wh: Warehouse) -> str:
     """The formatted trend table plus a run legend (one line per run:
     header, timestamp, host fingerprint), and — when any run stored obs
-    telemetry — the peak-RSS and latency-histogram sections; what the
-    CLI prints.  A warehouse holding only telemetry (``repro profile
-    --telemetry`` without any bench runs) renders just those sections."""
+    telemetry — the latency-histogram section; what the CLI prints.  A
+    warehouse holding only telemetry (``repro profile --telemetry``
+    without any bench runs) renders just that section."""
     from repro.analysis.tables import format_table
 
     tel_runs, tel_rows = telemetry_trend(wh)
@@ -192,21 +168,6 @@ def render_trend(wh: Warehouse) -> str:
             for run in runs
         )
         out = format_table(columns, rows) + "\n\nruns:\n" + legend
-    mem_runs, mem_cells = memory_trend(wh)
-    if mem_cells:
-        mem_columns = ["scenario", "case"] + [
-            run["label"] or f"run{run['id']}" for run in mem_runs
-        ]
-        mem_rows: List[Tuple] = []
-        for (scenario, case), by_run in sorted(mem_cells.items()):
-            mem_row = [scenario, case]
-            for run in mem_runs:
-                rss = by_run.get(run["id"])
-                mem_row.append(str(rss) if rss is not None else "-")
-            mem_rows.append(tuple(mem_row))
-        out += "\n\nmemory (peak_rss_kb):\n" + format_table(
-            mem_columns, mem_rows
-        )
     if tel_rows:
         tel_columns = ["metric", "labels"] + [
             run["label"] or f"run{run['id']}" for run in tel_runs

@@ -18,13 +18,15 @@ modules already define; these tests pin each one to its specification:
   under adversarial explicit/auto interleavings;
 * the engines keep their termination/identity contracts under the
   undecided-counter and reused-inbox rewrite;
-* the ``repro-bench/1`` record schema validator accepts what the harness
-  emits and rejects malformed records.
+* the ``repro-bench/2`` record schema validator accepts what the bench
+  driver emits and rejects malformed records, and the driver refuses to
+  time a row whose two sides disagree.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import itertools
 import random
 
@@ -361,35 +363,90 @@ def test_async_engine_rejects_bad_ports():
 
 
 # ----------------------------------------------------------------------
-# bench record schema
+# bench record schema and the ratio driver
 # ----------------------------------------------------------------------
-def test_bench_record_roundtrip_and_speedup():
-    from repro.analysis.bench import (
-        make_bench_record,
-        make_table_record,
-        validate_bench_record,
-    )
+def _timing_case(**overrides):
+    from repro.analysis.bench import compare
 
-    baseline = {
-        "schema": "repro-bench-baseline/1",
-        "env": {},
-        "modes": {"full": {"refinement": {"case-a": 1.0}}},
-    }
-    record = make_bench_record(
-        "refinement",
-        [
-            {"case": "case-a", "seconds": 0.25, "repeats": 3},
-            {"case": "case-b", "seconds": 0.5, "repeats": 3},
-        ],
-        quick=False,
-        baseline=baseline,
-        baseline_path="x.json",
+    case = {"case": "case-a", "repeats": 5}
+    case.update(compare([1.0, 1.1, 1.2, 1.3, 1.4], [4.0, 4.2, 4.4, 4.6, 4.8], "ref"))
+    case.update(overrides)
+    return case
+
+
+def test_compare_median_iqr_and_inconclusive():
+    from repro.analysis.bench import compare
+
+    separated = compare([1.0, 1.1, 1.2, 1.3, 9.0], [4.0, 4.2, 4.4, 4.6, 4.8], "ref")
+    assert separated["seconds"] == pytest.approx(1.2)
+    assert separated["seconds_iqr"] == pytest.approx(0.2)  # 1.3 - 1.1
+    assert separated["ref_seconds"] == pytest.approx(4.4)
+    assert separated["ref_seconds_iqr"] == pytest.approx(0.4)  # 4.6 - 4.2
+    assert separated["speedup_vs_ref"] == pytest.approx(4.4 / 1.2)
+    assert separated["inconclusive"] is False  # [1.1, 1.3] vs [4.2, 4.6]
+    overlapping = compare([1.0, 2.0, 3.0, 4.0, 5.0], [3.5, 3.8, 4.0, 6.0, 7.0], "ref")
+    assert overlapping["seconds"] == 3.0 and overlapping["ref_seconds"] == 4.0
+    assert overlapping["inconclusive"] is True  # [2, 4] vs [3.8, 6]
+    # quartile ranges that only touch still overlap
+    touching = compare([1.0, 1.0, 2.0, 2.0, 2.0], [2.0, 2.0, 3.0, 3.0, 3.0], "ref")
+    assert touching["inconclusive"] is True
+
+
+def test_measure_refuses_a_disagreeing_row_before_any_timed_call(monkeypatch):
+    from repro.analysis import bench
+
+    calls = []
+    clock = []
+    monkeypatch.setattr(
+        bench.time, "perf_counter", lambda: clock.append(1) or float(len(clock))
     )
+    row = bench.RatioCase(
+        case="broken",
+        versus="ref",
+        build=lambda: 3,
+        subject=lambda x: calls.append("subject") or x + 1,
+        reference=lambda x: calls.append("reference") or x,
+    )
+    with pytest.raises(ReproError, match="broken: subject and reference disagree"):
+        bench.measure(row)
+    assert calls == ["subject", "reference"]  # the untimed parity runs only
+    assert clock == []  # no clock ever started
+
+
+def test_measure_alternates_k_timed_runs_per_side():
+    from repro.analysis import bench
+
+    calls = []
+    row = bench.RatioCase(
+        case="ok",
+        versus="ref",
+        build=lambda: 2,
+        subject=lambda x: calls.append("s") or x * x,
+        reference=lambda x: calls.append("r") or x + x,
+        info=lambda x, case: {"n": x},
+    )
+    case = bench.measure(row)
+    assert calls == ["s", "r"] * (1 + bench.K)  # parity, then K alternations
+    assert case["case"] == "ok" and case["repeats"] == bench.K and case["n"] == 2
+    for key in ("seconds", "seconds_iqr", "ref_seconds", "ref_seconds_iqr"):
+        assert case[key] >= 0
+    assert isinstance(case["inconclusive"], bool)
+
+
+def test_bench_record_roundtrip_and_speedup():
+    from repro.analysis.bench import make_bench_record, validate_bench_record
+
+    record = make_bench_record("demo", [_timing_case()], quick=False)
     validate_bench_record(record)
-    by_case = {c["case"]: c for c in record["cases"]}
-    assert by_case["case-a"]["speedup"] == pytest.approx(4.0)
-    assert by_case["case-b"]["speedup"] is None  # not in the baseline
-    validate_bench_record(make_table_record("legacy", "Title", "body text"))
+    assert record["schema"] == "repro-bench/2"
+    (case,) = json.loads(json.dumps(record))["cases"]
+    assert case["speedup_vs_ref"] == pytest.approx(4.4 / 1.2)
+    assert case["inconclusive"] is False
+    table = make_bench_record(
+        "legacy", [{"case": "legacy", "title": "Title", "text": "body"}],
+        quick=False, kind="table",
+    )
+    validate_bench_record(table)
 
 
 @pytest.mark.parametrize(
@@ -402,48 +459,56 @@ def test_bench_record_roundtrip_and_speedup():
         lambda r: r.update(env={}),
         lambda r: r.update(cases=[]),
         lambda r: r["cases"][0].update(seconds=-1),
-        lambda r: r["cases"][0].update(repeats=0),
-        lambda r: r["cases"][0].update(speedup="fast"),
+        lambda r: r["cases"][0].update(repeats=3),
+        lambda r: r["cases"][0].update(inconclusive="maybe"),
         lambda r: r["cases"][0].pop("case"),
+        lambda r: r["cases"][0].pop("ref_seconds_iqr"),
+        lambda r: r["cases"][0].update(speedup_vs_other=2.0),
     ],
 )
 def test_bench_record_validator_rejects_malformed(mutate):
     from repro.analysis.bench import make_bench_record, validate_bench_record
 
-    record = make_bench_record(
-        "refinement",
-        [{"case": "case-a", "seconds": 0.25, "repeats": 3}],
-        quick=True,
-    )
+    record = make_bench_record("demo", [_timing_case()], quick=True)
     validate_bench_record(record)
     mutate(record)
     with pytest.raises(ReproError):
         validate_bench_record(record)
 
 
+def test_bench_record_validator_names_both_schemas_for_v1():
+    from repro.analysis.bench import make_bench_record, validate_bench_record
+    from repro.errors import BenchSchemaError
+
+    record = make_bench_record("demo", [_timing_case()], quick=True)
+    record["schema"] = "repro-bench/1"
+    with pytest.raises(BenchSchemaError, match="repro-bench/1.*repro-bench/2"):
+        validate_bench_record(record)
+
+
 def test_bench_check_dir_gates_on_malformed_records(tmp_path):
-    from repro.analysis.bench import check_bench_dir, run_bench
+    from repro.analysis.bench import check_bench_dir
+    from repro.cli import main
 
     out = tmp_path / "out"
     with pytest.raises(ReproError):
         check_bench_dir(str(out))  # missing directory
-    written = run_bench(
-        ["refinement"], quick=True, out_dir=str(out), baseline_path=None
-    )
-    assert [p.split("/")[-1] for p in written] == ["BENCH_refinement.json"]
-    assert check_bench_dir(str(out)) == written
+    assert main([
+        "bench", "--quick", "--scenario", "elect-orbit", "--out-dir", str(out),
+    ]) == 0
+    written = check_bench_dir(str(out))
+    assert [p.split("/")[-1] for p in written] == ["BENCH_elect-orbit.json"]
     (out / "BENCH_broken.json").write_text('{"schema": "nope"}')
     with pytest.raises(ReproError):
         check_bench_dir(str(out))
 
 
-def test_bench_unknown_scenario_fails_fast(tmp_path):
-    from repro.analysis.bench import run_bench
+def test_bench_unknown_scenario_fails_fast(tmp_path, capsys):
+    from repro.cli import main
 
-    with pytest.raises(ReproError):
-        run_bench(
-            ["no-such-scenario"],
-            quick=True,
-            out_dir=str(tmp_path),
-            baseline_path=None,
-        )
+    out = tmp_path / "out"
+    assert main([
+        "bench", "--scenario", "strict,no-such-scenario", "--out-dir", str(out),
+    ]) == 2
+    assert "unknown scenario(s) no-such-scenario" in capsys.readouterr().err
+    assert not out.exists()

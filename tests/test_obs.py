@@ -502,31 +502,27 @@ class TestExporters:
 
 
 # ---------------------------------------------------------------------------
-# bench resources
+# bench cases
 # ---------------------------------------------------------------------------
-class TestBenchResources:
-    def test_time_case_reports_resources(self):
-        from repro.analysis.bench import _time_case
-
-        seconds, reps, resources = _time_case(lambda: [0] * 10000, 2)
-        assert seconds >= 0 and reps == 2
-        assert resources["peak_rss_kb"] is None or (
-            resources["peak_rss_kb"] > 0
-        )
-        assert resources["gc_collections"] >= 0
-        assert resources["gc_collected"] >= 0
-
-    def test_scenario_cases_carry_resources(self):
+class TestBenchCases:
+    def test_scenario_cases_carry_median_and_iqr_of_both_sides(self):
         from repro.analysis.bench import (
+            K,
             SCENARIOS,
             make_bench_record,
+            measure,
             validate_bench_record,
         )
 
-        cases = SCENARIOS["refinement"](True)
+        with SCENARIOS["elect-orbit"](True) as table:
+            cases = [measure(row) for row in table]
         for case in cases:
-            assert "peak_rss_kb" in case
-            assert "gc_collections" in case
-            assert "gc_collected" in case
-        record = make_bench_record("refinement", cases, quick=True)
+            assert case["repeats"] == K >= 5
+            for key in ("seconds", "seconds_iqr",
+                        "pernode_seconds", "pernode_seconds_iqr"):
+                assert case[key] >= 0
+            assert isinstance(case["inconclusive"], bool)
+            # the process high-water mark says nothing about one case
+            assert "peak_rss_kb" not in case and "gc_collections" not in case
+        record = make_bench_record("elect-orbit", cases, quick=True)
         validate_bench_record(record)  # extra fields stay schema-valid

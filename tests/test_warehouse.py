@@ -39,6 +39,7 @@ from repro.warehouse import (
     import_file,
     is_warehouse_path,
     register_corpus_graphs,
+    render_trend,
     sniff_format,
     trend_table,
 )
@@ -346,23 +347,38 @@ def test_golden_cache_roundtrip_byte_identical(tmp_path):
         assert fh.read() == reference
 
 
-def test_bench_import_export_roundtrip(tmp_path):
-    from repro.analysis.bench import env_fingerprint, write_json
+def _bench_record(seconds, schema="repro-bench/2"):
+    """A one-case timing record.  A ``repro-bench/1`` record is the shape
+    stored before the schema bump: min-of-repeats seconds divided by a
+    recorded baseline instead of an in-run ratio."""
+    from repro.warehouse.db import env_fingerprint
 
+    case = {"case": "c1", "seconds": seconds}
+    if schema == "repro-bench/1":
+        case.update(repeats=1, baseline_seconds=None, speedup=None)
+    else:
+        case.update(
+            repeats=5, seconds_iqr=0.01, ref_seconds=2 * seconds,
+            ref_seconds_iqr=0.01, speedup_vs_ref=2.0, inconclusive=False,
+        )
     record = {
-        "schema": "repro-bench/1",
+        "schema": schema,
         "kind": "timing",
         "scenario": "demo",
         "quick": True,
         "env": env_fingerprint(),
-        "baseline": None,
-        "cases": [
-            {"case": "c1", "seconds": 0.25, "repeats": 2,
-             "baseline_seconds": None, "speedup": None},
-        ],
+        "cases": [case],
     }
+    if schema == "repro-bench/1":
+        record["baseline"] = None
+    return record
+
+
+def test_bench_import_export_roundtrip(tmp_path):
+    from repro.analysis.bench import write_json
+
     src = str(tmp_path / "BENCH_demo.json")
-    write_json(src, record)
+    write_json(src, _bench_record(0.25))
     wh_path = str(tmp_path / "wh.sqlite")
     with Warehouse(wh_path) as wh:
         fmt, dataset, imported = import_file(wh, src)
@@ -371,6 +387,39 @@ def test_bench_import_export_roundtrip(tmp_path):
     assert len(written) == 1
     with open(src, "rb") as a, open(written[0], "rb") as b:
         assert a.read() == b.read()
+
+
+def test_import_refuses_v1_bench_record_naming_both_schemas(tmp_path):
+    from repro.analysis.bench import write_json
+    from repro.errors import BenchSchemaError
+
+    src = str(tmp_path / "BENCH_demo.json")
+    write_json(src, _bench_record(0.25, schema="repro-bench/1"))
+    with Warehouse(str(tmp_path / "wh.sqlite")) as wh:
+        with pytest.raises(BenchSchemaError) as info:
+            import_file(wh, src)
+        assert wh.bench_rows() == []
+    assert "repro-bench/1" in str(info.value)
+    assert "repro-bench/2" in str(info.value)
+
+
+def test_begin_run_does_not_import_the_analysis_package(tmp_path):
+    """Provenance lives with the warehouse: a ``repro serve --cache
+    *.sqlite`` boot opens a run without loading the bench, sweep and
+    conformance analysis modules."""
+    code = (
+        "import sys\n"
+        "from repro.warehouse import Warehouse\n"
+        f"with Warehouse({str(tmp_path / 'wh.sqlite')!r}) as wh:\n"
+        "    wh.begin_run('service')\n"
+        "    assert wh.runs()[0]['env']['python']\n"
+        "print('repro.analysis' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=ENV, timeout=60, check=True,
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_import_refuses_torn_store(tmp_path):
@@ -507,30 +556,34 @@ def test_jsonl_cache_reports_file_tier(tmp_path, warm_setup):
 # the bench trend
 # ----------------------------------------------------------------------
 def test_trend_table_across_runs(tmp_path):
-    from repro.analysis.bench import env_fingerprint
-
-    def bench_record(seconds):
-        return {
-            "schema": "repro-bench/1",
-            "kind": "timing",
-            "scenario": "demo",
-            "quick": True,
-            "env": env_fingerprint(),
-            "baseline": None,
-            "cases": [{"case": "c1", "seconds": seconds, "repeats": 1}],
-        }
-
     wh_path = str(tmp_path / "wh.sqlite")
     with Warehouse(wh_path) as wh:
         with pytest.raises(StoreError, match="no timed bench records"):
             trend_table(wh)
         for label, seconds in (("pr6", 0.5), ("pr7", 0.25)):
             run_id = wh.begin_run("bench", label)
-            wh.append_bench(bench_record(seconds), run_id)
+            wh.append_bench(_bench_record(seconds), run_id)
             wh.finish_run(run_id)
         columns, rows = trend_table(wh)
     assert columns == ["scenario", "case", "pr6/quick", "pr7/quick"]
     assert rows == [("demo", "c1", "0.5000", "0.2500")]
+
+
+def test_trend_renders_v1_rows_stored_before_the_schema_bump(tmp_path):
+    wh_path = str(tmp_path / "wh.sqlite")
+    with Warehouse(wh_path) as wh:
+        for label, record in (
+            ("old", _bench_record(0.5, schema="repro-bench/1")),
+            ("new", _bench_record(0.25)),
+        ):
+            run_id = wh.begin_run("bench", label)
+            wh.append_bench(record, run_id)
+            wh.finish_run(run_id)
+        columns, rows = trend_table(wh)
+        text = render_trend(wh)
+    assert columns == ["scenario", "case", "old/quick", "new/quick"]
+    assert rows == [("demo", "c1", "0.5000", "0.2500")]
+    assert "old/quick" in text and "0.5000" in text
 
 
 # ----------------------------------------------------------------------
@@ -584,20 +637,11 @@ class TestWarehouseCLI:
         assert labels.count("migration") == 1  # one labeled run per import
 
     def test_trend_via_report_and_warehouse_commands(self, tmp_path, capsys):
-        from repro.analysis.bench import env_fingerprint, write_json
+        from repro.analysis.bench import write_json
         from repro.cli import main
 
-        record = {
-            "schema": "repro-bench/1",
-            "kind": "timing",
-            "scenario": "demo",
-            "quick": True,
-            "env": env_fingerprint(),
-            "baseline": None,
-            "cases": [{"case": "c1", "seconds": 0.125, "repeats": 1}],
-        }
         src = str(tmp_path / "BENCH_demo.json")
-        write_json(src, record)
+        write_json(src, _bench_record(0.125))
         wh_path = str(tmp_path / "wh.sqlite")
         for label in ("pr6", "pr7"):
             assert main([
